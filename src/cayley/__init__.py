@@ -28,6 +28,7 @@ from .errors import (
     NoNoncyclicGroupError,
     NoSuchElementError,
     NotAssociativeError,
+    NotBijectiveError,
     NotClosedError,
     NotCyclicSourceError,
     NotLatinError,

@@ -15,6 +15,7 @@ from .core import FiniteGroup, cyclic_group
 from .enumeration import DEFAULT_BUDGET, EnumerationReport, enumerate_groups
 from .errors import (
     BadOrderError,
+    GroupError,
     HypothesisFailedError,
     IncompatibleActionError,
     NoNoncyclicGroupError,
@@ -32,6 +33,7 @@ from .morphisms import (
 )
 from .products import (
     ProductGroup,
+    cyclic_power_semidirect,
     direct_product,
     product_pair_iso,
     sdp_congr,
@@ -158,13 +160,8 @@ def canonical_semidirect(p: int, q: int) -> tuple[ProductGroup, Hom, AutGroup, i
     """The canonical noncyclic C_q x| C_p (p | q - 1): the generator of C_p
     acts as r -> r^k with k the smallest exponent above 1 of order p mod q."""
     k = smallest_action_exponent(p, q)
-    cq = cyclic_group(q)
-    cp = cyclic_group(p)
-    aut = automorphism_group(cq)
-    mapping = [aut.auto_index(tuple(pow(k, j, q) * x % q for x in range(q))) for j in range(p)]
-    phi = make_hom(cp, aut.carrier, mapping)
-    product = semidirect_product(cq, cp, phi, aut)
-    return product, phi, aut, k
+    product = cyclic_power_semidirect(q, p, k)
+    return product, product.phi, product.aut, k
 
 
 def canonical_noncyclic(p: int, q: int) -> FiniteGroup:
@@ -356,9 +353,9 @@ def verify_theorem(max_order: int, budget: int | None = None) -> TheoremReport:
                 result = classify(rep)
                 result.iso.validate()
                 kinds.append(result.kind)
-            except Exception:
+            except (GroupError, AssertionError) as exc:
                 classified_ok = False
-                kinds.append("error")
+                kinds.append(f"error: {type(exc).__name__}")
         passed = (
             predicted == report.count
             and classified_ok

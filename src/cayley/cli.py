@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 negative mathematical answer (not isomorphic,
-hypothesis failed, no such group), 2 usage error, 3 input-format error.
+hypothesis failed, no such group), 2 usage error or an output file or
+directory that cannot be written, 3 input-format error.
 Identical invocations produce byte-identical stdout; --json emits
 machine-readable output with stable field names.
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -29,9 +29,8 @@ from .morphisms import (
     automorphism_group,
     find_isomorphism,
     fingerprint_mismatch,
-    make_hom,
 )
-from .products import direct_product, semidirect_product
+from .products import cyclic_power_semidirect, direct_product
 from .recognition import (
     internal_direct,
     internal_semidirect,
@@ -46,13 +45,24 @@ def _emit_json(payload: dict) -> None:
 
 def _print_group(group: FiniteGroup, out: str | None, comments: list[str]) -> None:
     if out:
-        write_group(group, out, comments)
+        _write(group, out, comments)
     else:
         sys.stdout.write(write_group_text(group, comments))
 
 
 class _InputError(Exception):
     """Wraps any failure while reading an input group file (exit code 3)."""
+
+
+class _OutputError(Exception):
+    """Wraps any failure while writing an output file (exit code 2)."""
+
+
+def _write(group: FiniteGroup, path: str | Path, comments: list[str]) -> None:
+    try:
+        write_group(group, path, comments)
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load(path: str) -> FiniteGroup:
@@ -79,17 +89,7 @@ def _cmd_construct(args) -> int:
         return 0
     # sdp: C_q x| C_p with the generator of C_p acting as r -> r^k.
     q, p, k = args.q, args.p, args.k
-    if q < 1 or p < 1:
-        raise InvalidActionError("factor orders must be positive")
-    if not 1 <= k < q or math.gcd(k, q) != 1:
-        raise InvalidActionError(f"k must lie in 1..{q - 1} and be coprime to {q}")
-    if pow(k, p, q) != 1:
-        raise InvalidActionError(f"k^p = {k}^{p} is not 1 modulo {q}")
-    cq, cp = cyclic_group(q), cyclic_group(p)
-    aut = automorphism_group(cq)
-    mapping = [aut.auto_index(tuple(pow(k, j, q) * x % q for x in range(q))) for j in range(p)]
-    phi = make_hom(cp, aut.carrier, mapping)
-    group = semidirect_product(cq, cp, phi, aut).group
+    group = cyclic_power_semidirect(q, p, k).group
     _print_group(group, args.out, [f"C_{q} x| C_{p} with action r -> r^{k}"])
     return 0
 
@@ -191,9 +191,12 @@ def _cmd_enumerate(args) -> int:
     report = enumerate_groups(args.n, budget=args.budget)
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _OutputError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
         for idx, rep in enumerate(report.representatives):
-            write_group(
+            _write(
                 rep,
                 out_dir / f"order{args.n}_class{idx}.cayley",
                 [f"order {args.n}, class {idx} of {report.count}"],
@@ -292,8 +295,9 @@ _HANDLERS = {
     "verify": _cmd_verify,
 }
 
-# Errors from loading an input file are format errors (exit 3); errors from
-# the requested computation are negative answers (exit 1).
+# Errors from loading an input file are format errors (exit 3), errors from
+# writing an output file are usage errors (exit 2), and errors from the
+# requested computation are negative answers (exit 1).
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -305,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
+    except _OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3

@@ -82,6 +82,10 @@ class NotMultiplicativeError(GroupError):
         self.pair = pair
 
 
+class NotBijectiveError(GroupError):
+    """Candidate isomorphism is not a bijection, or its two halves are not inverse."""
+
+
 class NotCyclicSourceError(GroupError):
     """Hom enumeration is only implemented for cyclic source groups."""
 

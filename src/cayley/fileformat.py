@@ -21,14 +21,17 @@ def _parse_row(line: str, lineno: int, n: int) -> list[int]:
     tokens = line.split(" ")
     if len(tokens) != n:
         raise ParseError(lineno, f"expected {n} entries, found {len(tokens)}")
-    row = []
-    for tok in tokens:
-        if not tok.isdigit():
-            raise ParseError(lineno, f"invalid entry {tok!r}")
-        value = int(tok)
-        if value >= n:
-            raise ParseError(lineno, f"entry {value} out of range 0..{n - 1}")
-        row.append(value)
+    # Convert the tokens up to the first one that is not a decimal number;
+    # the first faulty token, whether malformed or out of range, is reported.
+    valid = tokens
+    if not all(map(str.isdigit, tokens)):
+        valid = tokens[: next(i for i, tok in enumerate(tokens) if not tok.isdigit())]
+    row = list(map(int, valid))
+    if max(row, default=0) >= n:
+        value = next(v for v in row if v >= n)
+        raise ParseError(lineno, f"entry {value} out of range 0..{n - 1}")
+    if len(row) < n:
+        raise ParseError(lineno, f"invalid entry {tokens[len(row)]!r}")
     return row
 
 
@@ -85,7 +88,7 @@ def write_group_text(group: FiniteGroup, comments: Iterable[str] = ()) -> str:
         out.write(line + "\n")
     out.write(f"{group.order}\n")
     for row in group.rows():
-        out.write(" ".join(str(v) for v in row) + "\n")
+        out.write(" ".join(map(str, row)) + "\n")
     return out.getvalue()
 
 

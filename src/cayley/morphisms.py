@@ -6,6 +6,11 @@ generating sequence of the source (highest element order first) is mapped
 onto order-matching candidates in the target, with consistency propagated
 through closure. Fingerprints give sound rejection only; equality of
 fingerprints never concludes isomorphism.
+
+The automorphism group is materialised as a carrier FiniteGroup. Each
+automorphism is encoded by its images of the generating sequence; the
+carrier table composes all pairs with one gather over those images and
+finds each composite by binary search among the sorted encodings.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from .errors import (
     BudgetExceededError,
     IdentityNotPreservedError,
     MismatchedParentError,
+    NotBijectiveError,
+    NotClosedError,
     NotCyclicSourceError,
     NotMultiplicativeError,
     NotNormalError,
@@ -67,7 +74,7 @@ def make_hom(source: FiniteGroup, target: FiniteGroup, mapping) -> Hom:
     if not np.array_equal(lhs, rhs):
         x, y = map(int, np.argwhere(lhs != rhs)[0])
         raise NotMultiplicativeError((x, y))
-    return Hom(source, target, tuple(int(v) for v in m))
+    return Hom(source, target, tuple(m.tolist()))
 
 
 def trivial_hom(source: FiniteGroup, target: FiniteGroup) -> Hom:
@@ -113,16 +120,16 @@ class Iso:
         n = self.source.order
         fwd, bwd = self.forward.map, self.backward.map
         if [bwd[v] for v in fwd] != list(range(n)):
-            raise NotMultiplicativeError((0, 0))
+            raise NotBijectiveError("backward after forward is not the identity")
         if [fwd[v] for v in bwd] != list(range(self.target.order)):
-            raise NotMultiplicativeError((0, 0))
+            raise NotBijectiveError("forward after backward is not the identity")
 
 
 def iso_from_forward(f: Hom) -> Iso:
     """Build an Iso from a bijective Hom, deriving and validating the inverse."""
     n = f.source.order
     if f.target.order != n or len(set(f.map)) != n:
-        raise NotMultiplicativeError((0, 0))
+        raise NotBijectiveError(f"map from order {n} to order {f.target.order} is not a bijection")
     backward = [0] * n
     for x, y in enumerate(f.map):
         backward[y] = x
@@ -349,7 +356,12 @@ class AutGroup:
 
 
 def automorphism_group(g: FiniteGroup, carrier_limit: int = AUT_CARRIER_LIMIT) -> AutGroup:
-    """All automorphisms of g, found by generator-image backtracking."""
+    """All automorphisms of g, found by generator-image backtracking.
+
+    The carrier table is built without hashing permutations: each
+    automorphism is keyed by its images of generating_sequence(g), every
+    composite's key is gathered in one step, and keys are looked up by
+    binary search among the sorted keys of the automorphisms."""
     maps = _image_search(g, g, find_all=True, limit=carrier_limit)
     ident = tuple(range(g.order))
     perms = tuple([ident] + sorted(m for m in maps if m != ident))
@@ -357,16 +369,50 @@ def automorphism_group(g: FiniteGroup, carrier_limit: int = AUT_CARRIER_LIMIT) -
         raise BudgetExceededError(
             f"{len(perms)} automorphisms exceed the carrier limit {carrier_limit}"
         )
-    index = {p: i for i, p in enumerate(perms)}
-    k = len(perms)
-    arrs = [np.array(p, dtype=np.int32) for p in perms]
-    table = np.empty((k, k), dtype=np.int32)
-    for i in range(k):
-        for j in range(k):
-            table[i, j] = index[tuple(int(v) for v in arrs[i][arrs[j]])]
-    carrier = from_table(k, table)
+    # The trivial group has no generators; its one automorphism is keyed by 0.
+    gens = generating_sequence(g) or [0]
+    carrier = from_table(len(perms), _composition_table(perms, gens))
     autos = tuple(iso_from_forward(make_hom(g, g, p)) for p in perms)
+    index = {p: i for i, p in enumerate(perms)}
     return AutGroup(g, carrier, autos, perms, index)
+
+
+# Composites keyed per block of carrier rows; keeps the gathered keys to a
+# few MB at the carrier limit.
+_KEY_BLOCK_ENTRIES = 1 << 18
+
+
+def _composition_table(perms: tuple[tuple[int, ...], ...], gens: list[int]) -> np.ndarray:
+    """Table of perms under composition: entry (i, j) is the index of
+    perms[i] after perms[j]. An automorphism is determined by its images
+    of a generating sequence, so those images serve as its key: an int16
+    row (exact for every order up to MAX_ORDER) viewed as one opaque byte
+    string, which numpy sorts and searches as a single value."""
+    k = len(perms)
+    p = np.array(perms, dtype=np.int16)
+    key_dtype = np.dtype((np.void, 2 * len(gens)))
+
+    def keys(images: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(images).view(key_dtype)[..., 0]
+
+    of_gens = p[:, gens]
+    own = keys(of_gens)
+    order = np.argsort(own)
+    sorted_keys = own[order]
+    table = np.empty((k, k), dtype=np.int32)
+    block = max(1, _KEY_BLOCK_ENTRIES // (k * len(gens)))
+    for start in range(0, k, block):
+        # composite[i, j] = keys of perms[i] applied to perms[j]'s generator images
+        composite = keys(p[start : start + block][:, of_gens])
+        pos = np.minimum(np.searchsorted(sorted_keys, composite), k - 1)
+        missing = sorted_keys[pos] != composite
+        if missing.any():
+            i, j = map(int, np.argwhere(missing)[0])
+            raise NotClosedError(
+                f"composite of automorphisms {start + i} and {j} is not among those found"
+            )
+        table[start : start + block] = order[pos]
+    return table
 
 
 def conjugation_perm(g: FiniteGroup, promoted: AsGroup, x: int) -> tuple[int, ...]:

@@ -8,11 +8,12 @@ indexed automorphism family recovers the actual permutations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_ORDER, FiniteGroup, from_table
+from .core import MAX_ORDER, FiniteGroup, cyclic_group, from_table
 from .errors import IncompatibleActionError, InvalidActionError, SizeCapError
 from .morphisms import (
     AutGroup,
@@ -104,6 +105,20 @@ def semidirect_product(
         raise InvalidActionError("action homomorphism does not land in Aut(N)")
     perms = [np.array(aut.perms[phi.map[h]], dtype=np.int32) for h in range(h_grp.order)]
     return _assemble(n_grp, h_grp, perms, phi, aut)
+
+
+def cyclic_power_semidirect(q: int, p: int, k: int) -> ProductGroup:
+    """C_q x| C_p with the generator of C_p acting on C_q as r -> r^k."""
+    if q < 1 or p < 1:
+        raise InvalidActionError("factor orders must be positive")
+    if not 1 <= k < q or math.gcd(k, q) != 1:
+        raise InvalidActionError(f"k must lie in 1..{q - 1} and be coprime to {q}")
+    if pow(k, p, q) != 1:
+        raise InvalidActionError(f"k^p = {k}^{p} is not 1 modulo {q}")
+    cq, cp = cyclic_group(q), cyclic_group(p)
+    aut = automorphism_group(cq)
+    mapping = [aut.auto_index(tuple(pow(k, j, q) * x % q for x in range(q))) for j in range(p)]
+    return semidirect_product(cq, cp, make_hom(cp, aut.carrier, mapping), aut)
 
 
 def sdp_trivial_iso_direct(

@@ -54,20 +54,31 @@ class Subgroup:
 
 
 def subgroup_from_members(parent: FiniteGroup, members: Iterable[int]) -> Subgroup:
-    """Validate a member set (identity, closure, inverses, Lagrange)."""
-    mset = {int(x) for x in members} | {0}
-    for x in mset:
+    """Validate a member set (range, identity, inverses, closure, Lagrange)."""
+    ordered = sorted({int(x) for x in members} | {0})
+    for x in ordered:
         if not 0 <= x < parent.order:
             raise NotSubgroupError(f"index {x} out of range")
-        if parent.inv(x) not in mset:
-            raise NotSubgroupError(f"inverse of {x} missing")
-        for y in mset:
-            if parent.mul(x, y) not in mset:
-                raise NotSubgroupError(f"product {x}*{y} escapes the member set")
-    if parent.order % len(mset) != 0:
+    idx = np.array(ordered, dtype=np.intp)
+    inside = _mask(parent.order, idx)
+    lacking = ~inside[parent.inverse[idx]]
+    if lacking.any():
+        raise NotSubgroupError(f"inverse of {ordered[int(np.argmax(lacking))]} missing")
+    escapes = ~inside[parent.table[np.ix_(idx, idx)]]
+    if escapes.any():
+        i, j = map(int, np.argwhere(escapes)[0])
+        raise NotSubgroupError(f"product {ordered[i]}*{ordered[j]} escapes the member set")
+    if parent.order % len(ordered) != 0:
         # Unreachable for genuinely closed sets; kept as a hard invariant check.
         raise NotSubgroupError("member count does not divide the group order")
-    return Subgroup(parent, tuple(sorted(mset)))
+    return Subgroup(parent, tuple(ordered))
+
+
+def _mask(n: int, members) -> np.ndarray:
+    """Boolean membership mask over 0..n-1."""
+    mask = np.zeros(n, dtype=bool)
+    mask[members] = True
+    return mask
 
 
 def closure(parent: FiniteGroup, gens: Iterable[int]) -> Subgroup:
@@ -102,12 +113,11 @@ def join(a: Subgroup, b: Subgroup) -> Subgroup:
 
 
 def is_normal(h: Subgroup) -> bool:
+    """Whether x m x^-1 lies in H for every x in the parent and m in H."""
     g = h.parent
-    for x in range(g.order):
-        for m in h.members:
-            if g.conj(m, x) not in h:
-                return False
-    return True
+    members = list(h.members)
+    conjugates = g.table[g.table[:, members], g.inverse[:, None]]
+    return bool(_mask(g.order, members)[conjugates].all())
 
 
 def conjugate_subgroup(h: Subgroup, g: int) -> Subgroup:
@@ -165,9 +175,7 @@ def as_group(h: Subgroup) -> AsGroup:
     members = h.members
     section = {m: i for i, m in enumerate(members)}
     k = len(members)
-    table = np.empty((k, k), dtype=np.int32)
-    parent = h.parent
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            table[i, j] = section[parent.mul(a, b)]
+    section_array = np.full(h.parent.order, -1, dtype=np.int32)
+    section_array[list(members)] = np.arange(k, dtype=np.int32)
+    table = section_array[h.parent.table[np.ix_(members, members)]]
     return AsGroup(from_table(k, table), members, section)

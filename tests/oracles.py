@@ -37,6 +37,25 @@ def naive_is_group_table(rows: list[list[int]]) -> bool:
     return True
 
 
+def naive_closure(group: FiniteGroup, gens: list[int]) -> tuple[int, ...]:
+    """Closure of {0} and the generators under the two-sided operation,
+    adding all products of pairs until nothing new appears."""
+    rows = group.table.tolist()
+    members = {0, *gens}
+    while True:
+        new = {rows[a][b] for a in members for b in members} - members
+        if not new:
+            return tuple(sorted(members))
+        members |= new
+
+
+def naive_composition_table(perms: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """Index table of a family of permutations under composition: entry
+    (i, j) is the index of perms[i] after perms[j], by hashing every composite."""
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(a[v] for v in b)] for b in perms] for a in perms]
+
+
 def naive_subgroup_sets(group: FiniteGroup) -> set[frozenset[int]]:
     """All subgroups by filtering every subset (exponential; small groups only)."""
     n = group.order

@@ -218,3 +218,22 @@ def test_verify_theorem_small():
     assert "all orders pass: yes" in text
     payload = report.to_json_dict()
     assert payload["all_pass"] is True and len(payload["rows"]) == 6
+
+
+def test_verify_theorem_records_failure_type(monkeypatch):
+    import cayley.classification as classification
+
+    def failing(group):
+        raise HypothesisFailedError("planted")
+
+    monkeypatch.setattr(classification, "classify", failing)
+    report = verify_theorem(4)
+    assert not report.all_pass
+    assert report.rows[0].kinds == ("error: HypothesisFailedError",) * 2
+
+    def broken(group):
+        raise KeyError("not a classification failure")
+
+    monkeypatch.setattr(classification, "classify", broken)
+    with pytest.raises(KeyError):
+        verify_theorem(4)

@@ -149,6 +149,35 @@ def test_recognize_failure(capsys, s3_file):
     assert "NotNormal" in err
 
 
+def test_recognize_index_out_of_range(capsys, tmp_path):
+    path = tmp_path / "c3.cayley"
+    write_group(cyclic_group(3), path)
+    code, _, err = run(capsys, ["recognize", str(path), "--n", "0,1,2", "--h", "0,7"])
+    assert code == 1
+    assert err == "error: NotSubgroup: index 7 out of range\n"
+
+
+def test_recognize_negative_index(capsys, tmp_path):
+    path = tmp_path / "c3.cayley"
+    write_group(cyclic_group(3), path)
+    code, _, err = run(capsys, ["recognize", str(path), "--n", "0,1,2", "--h", "0,-1"])
+    assert code == 1
+    assert err == "error: NotSubgroup: index -1 out of range\n"
+
+
+def test_construct_unwritable_out(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.cayley"
+    code, out, err = run(capsys, ["construct", "cyclic", "5", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="ascii")
+    code, _, err = run(capsys, ["enumerate", "4", "--out", str(blocker / "reps")])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {blocker / 'reps'}: ")
+
+
 def test_enumerate(capsys, tmp_path):
     out_dir = tmp_path / "reps"
     code, out, _ = run(capsys, ["enumerate", "8", "--out", str(out_dir)])

@@ -61,6 +61,15 @@ def test_entry_out_of_range():
     assert excinfo.value.line == 3
 
 
+def test_first_faulty_entry_reported():
+    with pytest.raises(ParseError) as excinfo:
+        read_group_text("3\n0 1 2\n1 5 x\n2 0 1\n")
+    assert str(excinfo.value) == "line 3: entry 5 out of range 0..2"
+    with pytest.raises(ParseError) as excinfo:
+        read_group_text("3\n0 1 2\n1 x 5\n2 0 1\n")
+    assert str(excinfo.value) == "line 3: invalid entry 'x'"
+
+
 def test_negative_entry_rejected():
     with pytest.raises(ParseError):
         read_group_text("2\n0 1\n1 -1\n")

@@ -8,17 +8,22 @@ from cayley.core import cyclic_group, symmetric_group
 from cayley.errors import (
     BudgetExceededError,
     IdentityNotPreservedError,
+    NotBijectiveError,
+    NotClosedError,
     NotCyclicSourceError,
     NotMultiplicativeError,
 )
 from cayley.morphisms import (
+    _composition_table,
     automorphism_group,
     conj_normal,
     find_isomorphism,
     fingerprint,
     fingerprint_mismatch,
     homs_to_aut,
+    Iso,
     identity_iso,
+    iso_from_forward,
     make_hom,
     restrict,
     trivial_hom,
@@ -26,7 +31,13 @@ from cayley.morphisms import (
 from cayley.products import direct_product, semidirect_product
 from cayley.subgroups import subgroup_of_order, top
 
-from oracles import naive_hom_maps, relabel, small_group_corpus, totient
+from oracles import (
+    naive_composition_table,
+    naive_hom_maps,
+    relabel,
+    small_group_corpus,
+    totient,
+)
 
 
 def test_make_hom_parity():
@@ -47,6 +58,41 @@ def test_make_hom_rejects_with_witness():
     assert bad[c4.mul(x, y)] != c2.mul(bad[x], bad[y])
     with pytest.raises(IdentityNotPreservedError):
         make_hom(c2, c2, [1, 0])
+
+
+def test_non_bijection_is_named():
+    c4, c2 = cyclic_group(4), cyclic_group(2)
+    with pytest.raises(NotBijectiveError):
+        iso_from_forward(make_hom(c4, c2, [x % 2 for x in range(4)]))
+    with pytest.raises(NotBijectiveError):
+        iso_from_forward(make_hom(c4, c4, [0, 2, 0, 2]))
+    # Two automorphisms that are not inverse to each other.
+    doubling = make_hom(cyclic_group(5), cyclic_group(5), [2 * x % 5 for x in range(5)])
+    with pytest.raises(NotBijectiveError):
+        Iso(doubling, doubling).validate()
+
+
+def test_automorphism_carrier_matches_naive_composition():
+    c2 = cyclic_group(2)
+    c2_cubed = direct_product(direct_product(c2, c2).group, c2).group
+    groups = [cyclic_group(n) for n in range(1, 31)]
+    groups += [symmetric_group(3), symmetric_group(4), c2_cubed]
+    for g in groups:
+        aut = automorphism_group(g)
+        ident = tuple(range(g.order))
+        assert aut.perms[0] == ident
+        assert list(aut.perms[1:]) == sorted(aut.perms[1:])
+        assert aut.carrier.rows() == naive_composition_table(aut.perms)
+        for i, p in enumerate(aut.perms):
+            assert aut.auto_index(p) == i
+            assert aut.autos[i].forward.map == p
+
+
+def test_carrier_rejects_family_not_closed_under_composition():
+    # Multiplication by 2 on C_5 without its square, multiplication by 4.
+    perms = (tuple(range(5)), tuple(2 * x % 5 for x in range(5)))
+    with pytest.raises(NotClosedError, match="automorphisms 1 and 1"):
+        _composition_table(perms, [1])
 
 
 def test_trivial_hom_everywhere():

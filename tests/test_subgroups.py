@@ -57,6 +57,12 @@ def test_closure_examples(c6, s3):
 def test_subgroup_from_members_validates(s3):
     with pytest.raises(NotSubgroupError):
         subgroup_from_members(s3, [0, 1, 2])  # two transpositions, not closed
+    with pytest.raises(NotSubgroupError, match="inverse of 3 missing"):
+        subgroup_from_members(s3, [0, 3])  # a 3-cycle without its inverse
+    with pytest.raises(NotSubgroupError, match=r"product 1\*2 escapes"):
+        subgroup_from_members(s3, [0, 1, 2])
+    with pytest.raises(NotSubgroupError, match="index 6 out of range"):
+        subgroup_from_members(s3, [0, 1, 6])
     sub = subgroup_from_members(s3, [0, 3, 4])
     assert sub.members == (0, 3, 4)
 
@@ -179,3 +185,19 @@ def test_as_group_order_and_lagrange():
         for h in all_subgroups(g):
             assert as_group(h).group.order == len(h)
             assert g.order % len(h) == 0
+
+
+def test_is_normal_and_as_group_match_naive_loops():
+    for g in small_group_corpus(10):
+        rows = g.rows()
+        inv = [rows[y].index(0) for y in range(g.order)]
+        for x in range(g.order):
+            h = closure(g, [x])
+            members = set(h.members)
+            normal = all(
+                rows[rows[y][m]][inv[y]] in members for y in range(g.order) for m in members
+            )
+            assert is_normal(h) == normal
+            section = {m: i for i, m in enumerate(h.members)}
+            expected = [[section[rows[a][b]] for b in h.members] for a in h.members]
+            assert as_group(h).group.rows() == expected
