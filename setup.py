@@ -1,26 +1,12 @@
 """Build script: compiles the optional table-fill extension.
 
-The package works without the extension (a pure-Python kernel is selected
-at import time); the compiled kernel is only a speedup for the enumeration
-search, so build failures are non-fatal.
+The kernel src/cayley/_fillcore.c is plain C against the CPython API,
+compiled by setuptools with the system C compiler (gcc on Linux) into
+cayley._fillcore_c. The package works without it (the pure-Python kernel
+is selected at import time); the compiled kernel is only a speedup for the
+enumeration search, so build failures are non-fatal.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "cayley._fillcore_c",
-                ["src/cayley/_fillcore_c.pyx"],
-                optional=True,
-            )
-        ],
-        language_level=3,
-    )
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("cayley._fillcore_c", ["src/cayley/_fillcore.c"], optional=True)])

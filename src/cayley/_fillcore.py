@@ -15,8 +15,10 @@ as a fresh product value. Every isomorphism class is reached this way, once
 per generating sequence; surviving duplicates are removed afterwards by the
 isomorphism-search deduplication pass.
 
-The compiled kernel in _fillcore_c implements the identical algorithm and
-must produce byte-identical output in the same order.
+This is the reference kernel. The C extension _fillcore_c, built from
+_fillcore.c with the same functions, implements the identical algorithm
+and must return identical tables in the same order with the same node
+count; the backend-parity test compiles it and compares the two.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from .recognition import (
     internal_semidirect,
     internal_semidirect_join,
 )
-from .subgroups import subgroup_from_members
+from .subgroups import is_normal, join, subgroup_from_members
 
 
 def _emit_json(payload: dict) -> None:
@@ -154,20 +154,17 @@ def _cmd_recognize(args) -> int:
     group = _load(args.file)
     sub_n = subgroup_from_members(group, _parse_indices(args.n))
     sub_h = subgroup_from_members(group, _parse_indices(args.h))
-    try:
+    # One recognizer, chosen from the hypotheses; its error is the answer.
+    if not join(sub_n, sub_h).is_full():
+        iso = internal_semidirect_join(group, sub_n, sub_h).iso
+        kind = "internal semidirect product of the join subgroup"
+    elif is_normal(sub_h):
         iso = internal_direct(group, sub_n, sub_h)
         kind = "internal direct product"
-        product_group = iso.target
-        mapping = iso.forward.map
-    except GroupError:
-        try:
-            witness = internal_semidirect(group, sub_n, sub_h)
-            kind = "internal semidirect product"
-        except GroupError:
-            witness = internal_semidirect_join(group, sub_n, sub_h)
-            kind = "internal semidirect product of the join subgroup"
-        product_group = witness.product.group
-        mapping = witness.iso.forward.map
+    else:
+        iso = internal_semidirect(group, sub_n, sub_h).iso
+        kind = "internal semidirect product"
+    product_group, mapping = iso.target, iso.forward.map
     if args.json:
         _emit_json(
             {

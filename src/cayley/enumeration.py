@@ -1,16 +1,15 @@
 """Independent brute-force enumeration of all groups of a small order up
 to isomorphism: the ground-truth oracle for the classification claims.
 
-The table search lives in a kernel with two interchangeable backends: a
-compiled extension (_fillcore_c, built from Cython) and a pure-Python
-fallback (_fillcore). The compiled one is picked at import when available;
-set CAYLEY_PURE_FILL=1 to force the fallback. Both run the identical
-algorithm and return identical tables in identical order.
+The table search is a kernel with one algorithm in two builds: the
+optional C extension _fillcore_c (compiled from _fillcore.c by setup.py)
+and the pure-Python reference _fillcore. The compiled one is used whenever
+it imports, otherwise the pure one; BACKEND names the choice. Both return
+identical tables in identical order.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,31 +23,17 @@ DEFAULT_BUDGET = 16
 HARD_ORDER_LIMIT = _fillcore.MAX_KERNEL_ORDER
 
 try:
-    from . import _fillcore_c  # type: ignore[attr-defined]
+    from . import _fillcore_c as _kernel  # type: ignore[attr-defined]
 
-    _COMPILED = _fillcore_c
-except ImportError:  # pragma: no cover - depends on the build environment
-    _COMPILED = None
-
-if _COMPILED is not None and not os.environ.get("CAYLEY_PURE_FILL"):
-    _ACTIVE = _COMPILED
     BACKEND = "compiled"
-else:
-    _ACTIVE = _fillcore
+except ImportError:  # pragma: no cover - depends on the build environment
+    _kernel = _fillcore
     BACKEND = "pure"
 
 
-def available_backends() -> dict[str, object]:
-    backends: dict[str, object] = {"pure": _fillcore}
-    if _COMPILED is not None:
-        backends["compiled"] = _COMPILED
-    return backends
-
-
-def enumerate_tables(n: int, backend: str | None = None) -> tuple[list[tuple[int, ...]], int]:
+def enumerate_tables(n: int) -> tuple[list[tuple[int, ...]], int]:
     """Raw kernel run: canonical-search tables plus the node count."""
-    module = _ACTIVE if backend is None else available_backends()[backend]
-    return module.enumerate_group_tables(n)
+    return _kernel.enumerate_group_tables(n)
 
 
 @dataclass(frozen=True)
@@ -67,11 +52,7 @@ class EnumerationReport:
     stats: EnumerationStats
 
 
-def enumerate_groups(
-    n: int,
-    budget: int | None = None,
-    backend: str | None = None,
-) -> EnumerationReport:
+def enumerate_groups(n: int, budget: int | None = None) -> EnumerationReport:
     """All groups of order n up to isomorphism.
 
     The kernel's canonical search is complete but may emit isomorphic
@@ -89,7 +70,7 @@ def enumerate_groups(
         )
     if n > HARD_ORDER_LIMIT:
         raise BudgetExceededError(f"kernel supports orders up to {HARD_ORDER_LIMIT}")
-    tables, nodes = enumerate_tables(n, backend=backend)
+    tables, nodes = enumerate_tables(n)
     representatives: list[FiniteGroup] = []
     buckets: dict[tuple, list[FiniteGroup]] = {}
     rejections = 0
@@ -106,7 +87,7 @@ def enumerate_groups(
         nodes=nodes,
         tables_completed=len(tables),
         iso_rejections=rejections,
-        backend=BACKEND if backend is None else backend,
+        backend=BACKEND,
     )
     return EnumerationReport(n, tuple(representatives), len(representatives), stats)
 

@@ -74,7 +74,9 @@ def read_group_text(text: str) -> FiniteGroup:
 def read_group(source: str | Path | IO[str]) -> FiniteGroup:
     """Read a group from a path or an open text stream."""
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="ascii")
+        # Latin-1 decodes every byte, so a non-ASCII file reaches the
+        # ParseError of read_group_text rather than a UnicodeDecodeError.
+        text = Path(source).read_text(encoding="latin-1")
     else:
         text = source.read()
     return read_group_text(text)

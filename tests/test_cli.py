@@ -149,6 +149,23 @@ def test_recognize_failure(capsys, s3_file):
     assert "NotNormal" in err
 
 
+def test_recognize_runs_one_recognizer(capsys, c6_file, monkeypatch):
+    # A failure is reported as it is, not retried by a second recognizer.
+    import cayley.recognition
+    from cayley.errors import BudgetExceededError
+
+    calls = []
+
+    def over_budget(group):
+        calls.append(group.order)
+        raise BudgetExceededError("automorphism search budget")
+
+    monkeypatch.setattr(cayley.recognition, "automorphism_group", over_budget)
+    code, out, err = run(capsys, ["recognize", c6_file, "--n", "0,2,4", "--h", "0,3"])
+    assert (code, out, calls) == (1, "", [3])
+    assert err == "error: BudgetExceeded: automorphism search budget\n"
+
+
 def test_recognize_index_out_of_range(capsys, tmp_path):
     path = tmp_path / "c3.cayley"
     write_group(cyclic_group(3), path)
@@ -230,6 +247,11 @@ def test_input_error_exit_code(capsys, tmp_path):
     missing = tmp_path / "missing.cayley"
     code, _, _ = run(capsys, ["iso", str(missing), str(bad)])
     assert code == 3
+    latin = tmp_path / "latin.cayley"
+    latin.write_bytes(b"1\n\xff\n")
+    code, _, err = run(capsys, ["classify", str(latin)])
+    assert code == 3
+    assert err == "input error: line 1: file is not ASCII\n"
 
 
 def test_invalid_group_file_exit_code(capsys, tmp_path):

@@ -1,16 +1,16 @@
 from __future__ import annotations
 
+import importlib.util
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from cayley import _fillcore
 from cayley.core import from_table
-from cayley.enumeration import (
-    available_backends,
-    count_groups,
-    enumerate_groups,
-    enumerate_tables,
-)
+from cayley.enumeration import count_groups, enumerate_groups, enumerate_tables
 from cayley.errors import BudgetExceededError
 from cayley.morphisms import find_isomorphism
 
@@ -86,15 +86,48 @@ def test_determinism():
     assert a.stats == b.stats
 
 
-def test_backend_parity():
-    backends = available_backends()
-    if "compiled" not in backends:
-        pytest.skip("compiled kernel not built")
-    for n in range(1, 17):
-        pure_tables, pure_nodes = enumerate_tables(n, backend="pure")
-        fast_tables, fast_nodes = enumerate_tables(n, backend="compiled")
-        assert pure_tables == fast_tables
-        assert pure_nodes == fast_nodes
+@pytest.fixture(scope="module")
+def compiled_kernel(tmp_path_factory):
+    """The C kernel, freshly built by setup.py into a temporary directory."""
+    build = tmp_path_factory.mktemp("fillcore_build")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(build / "lib"), "--build-temp", str(build / "temp")],
+        cwd=Path(__file__).resolve().parents[1],
+        capture_output=True,
+        text=True,
+    )
+    # The extension is optional, so a failed compile can still exit 0.
+    built = sorted((build / "lib" / "cayley").glob("_fillcore_c.*"))
+    if proc.returncode != 0 or not built:
+        pytest.fail(f"building _fillcore.c failed:\n{proc.stdout}{proc.stderr}", pytrace=False)
+    spec = importlib.util.spec_from_file_location("cayley._fillcore_c", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _kernel_outcome(kernel, n):
+    try:
+        return kernel.enumerate_group_tables(n)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+KERNEL_EDGE_CASES = {
+    0: ("ValueError", "order must be in 1..64"),
+    1: ([(0,)], 1),
+    65: ("ValueError", "order must be in 1..64"),
+}
+
+
+@pytest.mark.parametrize("n", [0, *range(1, 17), 65])
+def test_backend_parity(compiled_kernel, n):
+    # Same tables in the same order, the same node count, the same errors.
+    assert compiled_kernel.MAX_KERNEL_ORDER == _fillcore.MAX_KERNEL_ORDER
+    expected = _kernel_outcome(_fillcore, n)
+    assert _kernel_outcome(compiled_kernel, n) == expected
+    assert expected == KERNEL_EDGE_CASES.get(n, expected)
 
 
 def test_representatives_are_valid_groups():

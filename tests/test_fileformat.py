@@ -105,9 +105,13 @@ def test_identity_column_checked():
     assert excinfo.value.line == 3
 
 
-def test_non_ascii_rejected():
+def test_non_ascii_rejected(tmp_path):
     with pytest.raises(ParseError):
         read_group_text("2²\n0 1\n1 0\n")
+    path = tmp_path / "latin.cayley"
+    path.write_bytes(b"1\n\xff\n")
+    with pytest.raises(ParseError, match="^line 1: file is not ASCII$"):
+        read_group(path)
 
 
 def test_symmetric_group_round_trip(tmp_path):
