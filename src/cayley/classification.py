@@ -23,7 +23,6 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .morphisms import (
-    AutGroup,
     Hom,
     Iso,
     automorphism_group,
@@ -147,21 +146,18 @@ def smallest_action_exponent(p: int, q: int) -> int:
 
 def _power_iso(source: FiniteGroup, target: FiniteGroup) -> Iso:
     """Generator-power isomorphism from a cyclic group onto cyclic_group(n)."""
-    gen = source.cyclic_generator()
     mapping = [0] * source.order
-    x = 0
-    for t in range(source.order):
+    for t, x in enumerate(source.powers(source.cyclic_generator())):
         mapping[x] = t
-        x = source.mul(x, gen)
     return iso_from_forward(make_hom(source, target, mapping))
 
 
-def canonical_semidirect(p: int, q: int) -> tuple[ProductGroup, Hom, AutGroup, int]:
-    """The canonical noncyclic C_q x| C_p (p | q - 1): the generator of C_p
-    acts as r -> r^k with k the smallest exponent above 1 of order p mod q."""
+def canonical_semidirect(p: int, q: int) -> tuple[ProductGroup, int]:
+    """The canonical noncyclic C_q x| C_p (p | q - 1) and its exponent k: the
+    generator of C_p acts as r -> r^k with k the smallest exponent above 1
+    of order p mod q."""
     k = smallest_action_exponent(p, q)
-    product = cyclic_power_semidirect(q, p, k)
-    return product, product.phi, product.aut, k
+    return cyclic_power_semidirect(q, p, k), k
 
 
 def canonical_noncyclic(p: int, q: int) -> FiniteGroup:
@@ -186,8 +182,8 @@ def _classify_prime_squared(g: FiniteGroup, p: int) -> ElementaryAbelianResult:
     sub_a, sub_b = distinct_subgroups_of_order(g, p)
     iso_internal = internal_direct(g, sub_a, sub_b)
     source_dp = direct_product(as_group(sub_a).group, as_group(sub_b).group)
-    target_dp = direct_product(cyclic_group(p), cyclic_group(p))
     cp = cyclic_group(p)
+    target_dp = direct_product(cp, cp)
     bridge = product_pair_iso(
         _power_iso(source_dp.n_factor, cp),
         _power_iso(source_dp.h_factor, cp),
@@ -201,22 +197,21 @@ def _classify_semidirect(g: FiniteGroup, p: int, q: int) -> SemidirectResult:
     sylow_q = subgroup_of_order(g, q)
     sylow_p = subgroup_of_order(g, p)
     witness = internal_semidirect(g, sylow_q, sylow_p)
-    target, phi_canon, _, k = canonical_semidirect(p, q)
+    target, k = canonical_semidirect(p, q)
     f_q = _power_iso(witness.product.n_factor, cyclic_group(q))
-    gen_p = witness.product.h_factor.cyclic_generator()
+    h_factor, cp = witness.product.h_factor, cyclic_group(p)
+    powers_p = h_factor.powers(h_factor.cyclic_generator())
     for a in range(1, p):
         mapping = [0] * p
-        x = 0
-        for j in range(p):
+        for j, x in enumerate(powers_p):
             mapping[x] = a * j % p
-            x = witness.product.h_factor.mul(x, gen_p)
-        f_p = iso_from_forward(make_hom(witness.product.h_factor, cyclic_group(p), mapping))
+        f_p = iso_from_forward(make_hom(h_factor, cp, mapping))
         try:
-            bridge = sdp_congr(f_q, f_p, witness.phi, phi_canon, witness.product, target)
+            bridge = sdp_congr(f_q, f_p, witness.phi, target.phi, witness.product, target)
         except IncompatibleActionError:
             continue
         return SemidirectResult(
-            iso=witness.iso.then(bridge), p=p, q=q, k=k, phi=phi_canon
+            iso=witness.iso.then(bridge), p=p, q=q, k=k, phi=target.phi
         )
     raise AssertionError("no compatible factor isomorphism; nontrivial actions "
                          "of C_p on C_q should be conjugate")
@@ -256,10 +251,8 @@ def express_as_semidirect(g: FiniteGroup, p: int, q: int) -> tuple[Hom, Iso]:
     phi = trivial_hom(cp, aut.carrier)
     product = semidirect_product(cq, cp, phi, aut)
     mapping = [0] * g.order
-    x = 0
-    for t in range(g.order):
+    for t, x in enumerate(g.powers(generator)):
         mapping[x] = product.pair_index(t % q, t % p)
-        x = g.mul(x, generator)
     iso = iso_from_forward(make_hom(g, product.group, mapping))
     return phi, iso
 

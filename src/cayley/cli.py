@@ -23,7 +23,7 @@ from .classification import (
 )
 from .core import FiniteGroup, cyclic_group
 from .enumeration import enumerate_groups
-from .errors import GroupError, InvalidActionError, ParseError
+from .errors import GroupError, InvalidActionError
 from .fileformat import read_group, write_group, write_group_text
 from .morphisms import (
     automorphism_group,
@@ -309,9 +309,6 @@ def main(argv: list[str] | None = None) -> int:
     except _OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 3
     except GroupError as exc:
         name = type(exc).__name__.removesuffix("Error")
         print(f"error: {name}: {exc}", file=sys.stderr)

@@ -7,8 +7,9 @@ group object in circulation has passed them.
 
 Subgroup closure is a breadth-first search from the identity under right
 multiplication by the generators, reading only the generator columns of
-the table. Above order 256 associativity is checked on a generating set
-found with that search (Light's criterion).
+the table. `greedy_generators`, the one generating-sequence routine,
+adjoins each candidate outside that closure; above order 256 associativity
+is checked on its generators of range(n) (Light's criterion).
 """
 
 from __future__ import annotations
@@ -56,14 +57,17 @@ def closure_indices(table: np.ndarray, gens: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-def _generating_set(table: np.ndarray) -> list[int]:
-    """Greedy generating set: repeatedly adjoin the smallest missing index."""
+def greedy_generators(table: np.ndarray, candidates: Iterable[int]) -> list[int]:
+    """Walk the candidates once, adjoining each one outside the closure of
+    those adjoined before it: a greedy irredundant generating sequence, not
+    necessarily of minimum length, that generates every candidate."""
     gens: list[int] = []
     closed = np.zeros(table.shape[0], dtype=bool)
     closed[0] = True
-    while not closed.all():
-        gens.append(int(np.argmin(closed)))
-        closed[list(closure_indices(table, gens))] = True
+    for x in candidates:
+        if not closed[x]:
+            gens.append(int(x))
+            closed[list(closure_indices(table, gens))] = True
     return gens
 
 
@@ -82,7 +86,7 @@ def _associativity_witness(table: np.ndarray) -> tuple[int, int, int] | None:
     # on triples (x, g, y) with g running over a generating set implies full
     # associativity (Light's criterion). Every element of the table is a
     # right-multiplied word in the generators, so the set really generates.
-    for g in _generating_set(table):
+    for g in greedy_generators(table, range(n)):
         lhs = table[table[:, g], :]
         rhs = table[:, table[g, :]]
         if not np.array_equal(lhs, rhs):
@@ -118,28 +122,20 @@ class FiniteGroup:
         """g * x * g^-1."""
         return int(self.table[self.table[g, x], self.inverse[g]])
 
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            x, k = self.inv(x), -k
-        acc = 0
-        base = x
-        while k:
-            if k & 1:
-                acc = int(self.table[acc, base])
-            base = int(self.table[base, base])
-            k >>= 1
-        return acc
-
-    def element_order(self, x: int) -> int:
+    def powers(self, x: int) -> list[int]:
+        """[x^0, x^1, ..., x^(m-1)], where m is the order of x."""
         if not 0 <= x < self.order:
             raise IndexError(f"element {x} out of range for order {self.order}")
         rows = self.rows()
-        m = 1
+        out = [0]
         y = x
         while y != 0:
+            out.append(y)
             y = rows[y][x]
-            m += 1
-        return m
+        return out
+
+    def element_order(self, x: int) -> int:
+        return len(self.powers(x))
 
     def element_orders(self) -> tuple[int, ...]:
         """Order of every element, indexed by element."""
@@ -162,17 +158,24 @@ class FiniteGroup:
     def is_cyclic(self) -> bool:
         return self.cyclic_generator() is not None
 
+    def centralizer_sizes(self) -> np.ndarray:
+        """Number of elements commuting with each element (cached, read-only)."""
+        sizes = self._memo.get("centralizer_sizes")
+        if sizes is None:
+            sizes = (self.table == self.table.T).sum(axis=0)
+            sizes.setflags(write=False)
+            self._memo["centralizer_sizes"] = sizes
+        return sizes
+
     def center_size(self) -> int:
-        t = self.table
-        return sum(1 for x in range(self.order) if np.array_equal(t[x], t[:, x]))
+        return int((self.centralizer_sizes() == self.order).sum())
 
     def conjugacy_class_sizes(self) -> tuple[int, ...]:
         """Sizes of the conjugacy classes, sorted ascending.
 
         The class of x has size order / |centralizer(x)|, and each class of
         size s contributes s elements with that centralizer index."""
-        commute_counts = (self.table == self.table.T).sum(axis=0)
-        sizes = self.order // commute_counts
+        sizes = self.order // self.centralizer_sizes()
         out: list[int] = []
         for s in sorted(set(sizes.tolist())):
             count = int((sizes == s).sum())

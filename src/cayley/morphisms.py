@@ -1,8 +1,9 @@
 """Homomorphisms, isomorphisms, automorphism groups, and the
 group-isomorphism decision procedure.
 
-Isomorphisms are found by generator-image backtracking: a greedy minimal
-generating sequence of the source (highest element order first) is mapped
+Isomorphisms are found by generator-image backtracking: a greedy
+irredundant generating sequence of the source (highest element order
+first, each generator outside the subgroup of the earlier ones) is mapped
 onto order-matching candidates in the target, with consistency propagated
 through closure. Fingerprints give sound rejection only; equality of
 fingerprints never concludes isomorphism.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FiniteGroup, from_table
+from .core import FiniteGroup, from_table, greedy_generators
 from .errors import (
     BudgetExceededError,
     IdentityNotPreservedError,
@@ -195,10 +196,10 @@ def _element_stats(g: FiniteGroup) -> list[tuple[int, int, int]]:
     cached = g._memo.get("element_stats")
     if cached is None:
         orders = g.element_orders()
-        commute_counts = (g.table == g.table.T).sum(axis=0)
+        centralizer_sizes = g.centralizer_sizes()
         rows = g.rows()
         cached = [
-            (orders[x], g.order // int(commute_counts[x]), orders[rows[x][x]])
+            (orders[x], g.order // int(centralizer_sizes[x]), orders[rows[x][x]])
             for x in range(g.order)
         ]
         g._memo["element_stats"] = cached
@@ -206,20 +207,10 @@ def _element_stats(g: FiniteGroup) -> list[tuple[int, int, int]]:
 
 
 def generating_sequence(g: FiniteGroup) -> list[int]:
-    """Greedy minimal generating sequence, highest element order first."""
-    from .core import closure_indices
-
-    orders = g.element_orders()
-    seq: list[int] = []
-    closed: frozenset[int] = frozenset([0])
-    while len(closed) < g.order:
-        best = max(
-            (x for x in range(g.order) if x not in closed),
-            key=lambda x: (orders[x], -x),
-        )
-        seq.append(best)
-        closed = frozenset(closure_indices(g.table, seq))
-    return seq
+    """Greedy irredundant (not necessarily shortest) generating sequence
+    over the elements by descending element order, then by index."""
+    by_order = np.argsort(-np.asarray(g.element_orders()), kind="stable")
+    return greedy_generators(g.table, by_order.tolist())
 
 
 def _spread(g1: FiniteGroup, g2: FiniteGroup, gens: list[int], images: list[int]):
@@ -446,14 +437,15 @@ def homs_to_aut(p: FiniteGroup, a: AutGroup) -> list[Hom]:
     if gen is None:
         raise NotCyclicSourceError("hom enumeration needs a cyclic source")
     n = p.order
-    powers = [p.power(gen, j) for j in range(n)]
+    source = p.powers(gen)
     carrier = a.carrier
     homs: list[Hom] = []
     for img in range(carrier.order):
-        if n % carrier.element_order(img) != 0:
+        image = carrier.powers(img)
+        if n % len(image) != 0:
             continue
         mapping = [0] * n
-        for j in range(n):
-            mapping[powers[j]] = carrier.power(img, j)
+        for j, x in enumerate(source):
+            mapping[x] = image[j % len(image)]
         homs.append(make_hom(p, carrier, mapping))
     return homs

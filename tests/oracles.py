@@ -49,6 +49,39 @@ def naive_closure(group: FiniteGroup, gens: list[int]) -> tuple[int, ...]:
         members |= new
 
 
+def naive_element_order(group: FiniteGroup, x: int) -> int:
+    """Order of x by multiplying on the right until the identity returns."""
+    m, y = 1, x
+    while y != 0:
+        y = group.mul(y, x)
+        m += 1
+    return m
+
+
+def naive_greedy_by_order(group: FiniteGroup) -> list[int]:
+    """Generating sequence that repeatedly adjoins the element outside the
+    closure so far with the largest (element order, -index)."""
+    orders = [naive_element_order(group, x) for x in range(group.order)]
+    gens: list[int] = []
+    closed = {0}
+    while len(closed) < group.order:
+        outside = [x for x in range(group.order) if x not in closed]
+        gens.append(max(outside, key=lambda x: (orders[x], -x)))
+        closed = set(naive_closure(group, gens))
+    return gens
+
+
+def naive_greedy_by_index(group: FiniteGroup) -> list[int]:
+    """Generating sequence that repeatedly adjoins the smallest index
+    outside the closure so far."""
+    gens: list[int] = []
+    closed = {0}
+    while len(closed) < group.order:
+        gens.append(min(set(range(group.order)) - closed))
+        closed = set(naive_closure(group, gens))
+    return gens
+
+
 def naive_composition_table(perms: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     """Index table of a family of permutations under composition: entry
     (i, j) is the index of perms[i] after perms[j], by hashing every composite."""

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayley.cli import main
 from cayley.core import cyclic_group, symmetric_group
@@ -260,3 +266,45 @@ def test_invalid_group_file_exit_code(capsys, tmp_path):
     bad.write_text("3\n0 1 2\n1 1 0\n2 0 1\n", encoding="ascii")
     code, _, err = run(capsys, ["classify", str(bad)])
     assert code == 3
+
+
+# Input files: small tables (groups, non-groups, out-of-range entries) or
+# arbitrary bytes.
+_table_text = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(0, n), min_size=n, max_size=n), min_size=n, max_size=n
+    ).map(lambda rows: f"{n}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+).map(str.encode)
+_file_bytes = st.one_of(st.binary(max_size=80), _table_text)
+_index_list = st.one_of(
+    st.text(max_size=12),
+    st.lists(st.integers(-8, 8), max_size=6).map(lambda xs: ",".join(map(str, xs))),
+)
+
+
+def _exit_code(argv: list[str]) -> int:
+    """Exit code of an in-process CLI run; argparse usage errors exit via SystemExit."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_file_bytes, n=_index_list, h=_index_list)
+def test_cli_fuzz_exits_cleanly(data, n, h):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cayley"
+        path.write_bytes(data)
+        s3 = Path(tmp) / "s3.cayley"
+        write_group(symmetric_group(3), s3)
+        runs = [
+            ["classify", str(path)],
+            ["aut", str(path)],
+            ["iso", str(path), str(s3)],
+            ["construct", "direct", str(path), str(s3)],
+            ["recognize", str(s3), "--n", n, "--h", h],
+        ]
+        for argv in runs:
+            assert _exit_code(argv) in {0, 1, 2, 3}, argv

@@ -3,7 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cayley.core import MAX_ORDER, closure_indices, cyclic_group, from_table, symmetric_group
+from cayley.core import (
+    MAX_ORDER,
+    closure_indices,
+    cyclic_group,
+    from_table,
+    greedy_generators,
+    symmetric_group,
+)
 from cayley.errors import (
     NoIdentityError,
     NotAssociativeError,
@@ -11,8 +18,17 @@ from cayley.errors import (
     NotLatinError,
     SizeCapError,
 )
+from cayley.morphisms import generating_sequence
+from cayley.products import cyclic_power_semidirect, direct_product
 
-from oracles import naive_closure, naive_is_group_table, small_group_corpus
+from oracles import (
+    naive_closure,
+    naive_element_order,
+    naive_greedy_by_index,
+    naive_greedy_by_order,
+    naive_is_group_table,
+    small_group_corpus,
+)
 
 # A Latin square with identity 0 that is not a group table: element 1 has
 # order 2, impossible in a group of order 5.
@@ -212,3 +228,48 @@ def test_large_cyclic_validates():
     g = cyclic_group(300)
     assert g.element_order(1) == 300
     assert np.array_equal(g.table[0], np.arange(300))
+
+
+def _greedy_corpus():
+    return small_group_corpus(10) + [
+        cyclic_group(300),
+        direct_product(cyclic_group(4), cyclic_group(80)).group,
+        cyclic_power_semidirect(97, 3, 35).group,
+    ]
+
+
+def test_greedy_generators_match_the_naive_rules():
+    for g in _greedy_corpus():
+        by_order = generating_sequence(g)
+        by_index = greedy_generators(g.table, range(g.order))  # Light's criterion
+        assert by_order == naive_greedy_by_order(g), g
+        assert by_index == naive_greedy_by_index(g), g
+        for gens in (by_order, by_index):
+            assert closure_indices(g.table, gens) == tuple(range(g.order))
+            for i, x in enumerate(gens):
+                assert x not in closure_indices(g.table, gens[:i])
+
+
+def test_powers_walk_the_cyclic_subgroup():
+    for g in _greedy_corpus():
+        for x in range(0, g.order, max(1, g.order // 40)):
+            powers = g.powers(x)
+            expected = [0]
+            while len(expected) < len(powers):
+                expected.append(g.mul(expected[-1], x))
+            assert powers == expected
+            assert g.mul(powers[-1], x) == 0
+            assert len(powers) == g.element_order(x) == naive_element_order(g, x)
+    with pytest.raises(IndexError):
+        cyclic_group(3).powers(3)
+
+
+def test_centralizer_sizes_match_direct_counts():
+    for g in _greedy_corpus():
+        t = g.table
+        sizes = g.centralizer_sizes()
+        for x in range(0, g.order, max(1, g.order // 40)):
+            assert sizes[x] == sum(g.mul(x, y) == g.mul(y, x) for y in range(g.order))
+        center = sum(1 for x in range(g.order) if np.array_equal(t[x], t[:, x]))
+        assert g.center_size() == center
+        assert not sizes.flags.writeable
