@@ -26,8 +26,8 @@ from .morphisms import (
     Hom,
     Iso,
     automorphism_group,
+    cyclic_hom,
     iso_from_forward,
-    make_hom,
     trivial_hom,
 )
 from .products import (
@@ -144,14 +144,6 @@ def smallest_action_exponent(p: int, q: int) -> int:
     return k
 
 
-def _power_iso(source: FiniteGroup, target: FiniteGroup) -> Iso:
-    """Generator-power isomorphism from a cyclic group onto cyclic_group(n)."""
-    mapping = [0] * source.order
-    for t, x in enumerate(source.powers(source.cyclic_generator())):
-        mapping[x] = t
-    return iso_from_forward(make_hom(source, target, mapping))
-
-
 def canonical_semidirect(p: int, q: int) -> tuple[ProductGroup, int]:
     """The canonical noncyclic C_q x| C_p (p | q - 1) and its exponent k: the
     generator of C_p acts as r -> r^k with k the smallest exponent above 1
@@ -175,7 +167,8 @@ def canonical_noncyclic(p: int, q: int) -> FiniteGroup:
 
 
 def _classify_cyclic(g: FiniteGroup, generator: int) -> CyclicResult:
-    return CyclicResult(iso=_power_iso(g, cyclic_group(g.order)), generator=generator)
+    iso = iso_from_forward(cyclic_hom(g, cyclic_group(g.order), 1))
+    return CyclicResult(iso=iso, generator=generator)
 
 
 def _classify_prime_squared(g: FiniteGroup, p: int) -> ElementaryAbelianResult:
@@ -185,8 +178,8 @@ def _classify_prime_squared(g: FiniteGroup, p: int) -> ElementaryAbelianResult:
     cp = cyclic_group(p)
     target_dp = direct_product(cp, cp)
     bridge = product_pair_iso(
-        _power_iso(source_dp.n_factor, cp),
-        _power_iso(source_dp.h_factor, cp),
+        iso_from_forward(cyclic_hom(source_dp.n_factor, cp, 1)),
+        iso_from_forward(cyclic_hom(source_dp.h_factor, cp, 1)),
         source_dp,
         target_dp,
     )
@@ -198,14 +191,9 @@ def _classify_semidirect(g: FiniteGroup, p: int, q: int) -> SemidirectResult:
     sylow_p = subgroup_of_order(g, p)
     witness = internal_semidirect(g, sylow_q, sylow_p)
     target, k = canonical_semidirect(p, q)
-    f_q = _power_iso(witness.product.n_factor, cyclic_group(q))
-    h_factor, cp = witness.product.h_factor, cyclic_group(p)
-    powers_p = h_factor.powers(h_factor.cyclic_generator())
+    f_q = iso_from_forward(cyclic_hom(witness.product.n_factor, target.n_factor, 1))
     for a in range(1, p):
-        mapping = [0] * p
-        for j, x in enumerate(powers_p):
-            mapping[x] = a * j % p
-        f_p = iso_from_forward(make_hom(h_factor, cp, mapping))
+        f_p = iso_from_forward(cyclic_hom(witness.product.h_factor, target.h_factor, a))
         try:
             bridge = sdp_congr(f_q, f_p, witness.phi, target.phi, witness.product, target)
         except IncompatibleActionError:
@@ -241,8 +229,7 @@ def express_as_semidirect(g: FiniteGroup, p: int, q: int) -> tuple[Hom, Iso]:
         raise BadOrderError(f"need primes p < q, got p={p}, q={q}")
     if g.order != p * q:
         raise BadOrderError(f"group order {g.order} is not {p}*{q}")
-    generator = g.cyclic_generator()
-    if generator is None:
+    if not g.is_cyclic():
         result = _classify_semidirect(g, p, q)
         return result.phi, result.iso
     cq = cyclic_group(q)
@@ -250,10 +237,7 @@ def express_as_semidirect(g: FiniteGroup, p: int, q: int) -> tuple[Hom, Iso]:
     aut = automorphism_group(cq)
     phi = trivial_hom(cp, aut.carrier)
     product = semidirect_product(cq, cp, phi, aut)
-    mapping = [0] * g.order
-    for t, x in enumerate(g.powers(generator)):
-        mapping[x] = product.pair_index(t % q, t % p)
-    iso = iso_from_forward(make_hom(g, product.group, mapping))
+    iso = iso_from_forward(cyclic_hom(g, product.group, product.pair_index(1, 1)))
     return phi, iso
 
 

@@ -138,9 +138,18 @@ class FiniteGroup:
         return len(self.powers(x))
 
     def element_orders(self) -> tuple[int, ...]:
-        """Order of every element, indexed by element."""
+        """Order of every element, indexed by element.
+
+        Each cyclic subgroup is walked once: if x has order m, then x^j
+        has order m / gcd(j, m)."""
         if self._orders is None:
-            self._orders = tuple(self.element_order(x) for x in range(self.order))
+            orders = [0] * self.order
+            for x in range(self.order):
+                if not orders[x]:
+                    walk = self.powers(x)
+                    for j, y in enumerate(walk):
+                        orders[y] = len(walk) // math.gcd(j, len(walk))
+            self._orders = tuple(orders)
         return self._orders
 
     # Structure predicates.

@@ -87,7 +87,7 @@ class NotBijectiveError(GroupError):
 
 
 class NotCyclicSourceError(GroupError):
-    """Hom enumeration is only implemented for cyclic source groups."""
+    """Homomorphisms by generator image are only built out of cyclic groups."""
 
 
 class BudgetExceededError(GroupError):

@@ -8,10 +8,15 @@ onto order-matching candidates in the target, with consistency propagated
 through closure. Fingerprints give sound rejection only; equality of
 fingerprints never concludes isomorphism.
 
-The automorphism group is materialised as a carrier FiniteGroup. Each
-automorphism is encoded by its images of the generating sequence; the
-carrier table composes all pairs with one gather over those images and
-finds each composite by binary search among the sorted encodings.
+The automorphism group is materialised as a carrier FiniteGroup whose
+element i is the permutation tuple perms[i]. Each automorphism is encoded
+by its images of the generating sequence; the carrier table composes all
+pairs with one gather over those images and finds each composite by
+binary search among the sorted encodings. The same blocks check every
+permutation at once: f(x * g) = f(x) * f(g) for all x and each generator
+g makes f a homomorphism, since every element is a word in the
+generators; a non-injective map has no inverse in the family, so the
+carrier table fails the Latin check of from_table.
 """
 
 from __future__ import annotations
@@ -260,13 +265,13 @@ def _spread(g1: FiniteGroup, g2: FiniteGroup, gens: list[int], images: list[int]
 def _image_search(
     g1: FiniteGroup,
     g2: FiniteGroup,
+    gens: list[int],
     *,
     find_all: bool,
-    limit: int | None = None,
 ) -> list[tuple[int, ...]]:
-    """All (or the first) generator-image assignments extending to isomorphisms."""
+    """All (or the first) images of the generating sequence gens of g1 that
+    extend to isomorphisms; all of them at most AUT_CARRIER_LIMIT."""
     n = g1.order
-    gens = generating_sequence(g1)
     stats1 = _element_stats(g1)
     stats2 = _element_stats(g2) if g2 is not g1 else stats1
     if sorted(stats1) != sorted(stats2):
@@ -290,9 +295,9 @@ def _image_search(
                 found.append(tuple(m))
                 if not find_all:
                     return True
-                if limit is not None and len(found) > limit:
+                if len(found) > AUT_CARRIER_LIMIT:
                     raise BudgetExceededError(
-                        f"more than {limit} automorphisms; raise the carrier limit"
+                        f"more than {AUT_CARRIER_LIMIT} automorphisms; raise the carrier limit"
                     )
             elif rec(depth + 1, images + [img]):
                 return True
@@ -314,7 +319,7 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> Iso | None:
         return identity_iso(g1, g2)
     if fingerprint(g1) != fingerprint(g2):
         return None
-    maps = _image_search(g1, g2, find_all=False)
+    maps = _image_search(g1, g2, generating_sequence(g1), find_all=False)
     if not maps:
         return None
     return iso_from_forward(make_hom(g1, g2, maps[0]))
@@ -327,13 +332,13 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> Iso | None:
 class AutGroup:
     """The automorphism group of a group, materialized as a FiniteGroup.
 
-    Element i of the carrier is the automorphism autos[i]; index 0 is the
-    identity automorphism and the carrier operation is composition.
+    Element i of the carrier is the automorphism perms[i], the tuple of
+    images of the base elements, checked multiplicative when the carrier
+    was built; index 0 is the identity and the operation is composition.
     """
 
     base: FiniteGroup
     carrier: FiniteGroup
-    autos: tuple[Iso, ...]
     perms: tuple[tuple[int, ...], ...]
     _index: dict[tuple[int, ...], int] = field(repr=False, compare=False, default=None)
 
@@ -341,46 +346,43 @@ class AutGroup:
         """Carrier index of an automorphism given as a permutation of base."""
         return self._index[perm]
 
-    def act(self, auto_idx: int, x: int) -> int:
-        """Apply automorphism auto_idx to base element x."""
-        return self.perms[auto_idx][x]
 
-
-def automorphism_group(g: FiniteGroup, carrier_limit: int = AUT_CARRIER_LIMIT) -> AutGroup:
+def automorphism_group(g: FiniteGroup) -> AutGroup:
     """All automorphisms of g, found by generator-image backtracking.
 
     The carrier table is built without hashing permutations: each
     automorphism is keyed by its images of generating_sequence(g), every
     composite's key is gathered in one step, and keys are looked up by
     binary search among the sorted keys of the automorphisms."""
-    maps = _image_search(g, g, find_all=True, limit=carrier_limit)
+    gens = generating_sequence(g)
+    maps = _image_search(g, g, gens, find_all=True)
     ident = tuple(range(g.order))
     perms = tuple([ident] + sorted(m for m in maps if m != ident))
-    if len(perms) > carrier_limit:
-        raise BudgetExceededError(
-            f"{len(perms)} automorphisms exceed the carrier limit {carrier_limit}"
-        )
     # The trivial group has no generators; its one automorphism is keyed by 0.
-    gens = generating_sequence(g) or [0]
-    carrier = from_table(len(perms), _composition_table(perms, gens))
-    autos = tuple(iso_from_forward(make_hom(g, g, p)) for p in perms)
+    carrier = from_table(len(perms), _composition_table(g.table, perms, gens or [0]))
     index = {p: i for i, p in enumerate(perms)}
-    return AutGroup(g, carrier, autos, perms, index)
+    return AutGroup(g, carrier, perms, index)
 
 
-# Composites keyed per block of carrier rows; keeps the gathered keys to a
-# few MB at the carrier limit.
+# Composites keyed and checked per block of carrier rows; keeps the
+# gathered arrays to a few MB at the carrier limit.
 _KEY_BLOCK_ENTRIES = 1 << 18
 
 
-def _composition_table(perms: tuple[tuple[int, ...], ...], gens: list[int]) -> np.ndarray:
-    """Table of perms under composition: entry (i, j) is the index of
-    perms[i] after perms[j]. An automorphism is determined by its images
-    of a generating sequence, so those images serve as its key: an int16
-    row (exact for every order up to MAX_ORDER) viewed as one opaque byte
-    string, which numpy sorts and searches as a single value."""
-    k = len(perms)
+def _composition_table(
+    table: np.ndarray, perms: tuple[tuple[int, ...], ...], gens: list[int]
+) -> np.ndarray:
+    """Table of perms, maps of the group with Cayley table `table` and
+    generators gens, under composition: entry (i, j) is the index of
+    perms[i] after perms[j]. Raises NotMultiplicativeError unless
+    f(x * g) = f(x) * f(g) for every perm f, element x and g in gens.
+    An automorphism is determined by its images of a generating sequence,
+    so those images serve as its key: an int16 row (exact for every order
+    up to MAX_ORDER) viewed as one opaque byte string, which numpy sorts
+    and searches as a single value."""
+    k, n = len(perms), table.shape[0]
     p = np.array(perms, dtype=np.int16)
+    right = table[:, gens]
     key_dtype = np.dtype((np.void, 2 * len(gens)))
 
     def keys(images: np.ndarray) -> np.ndarray:
@@ -390,11 +392,17 @@ def _composition_table(perms: tuple[tuple[int, ...], ...], gens: list[int]) -> n
     own = keys(of_gens)
     order = np.argsort(own)
     sorted_keys = own[order]
-    table = np.empty((k, k), dtype=np.int32)
-    block = max(1, _KEY_BLOCK_ENTRIES // (k * len(gens)))
+    out = np.empty((k, k), dtype=np.int32)
+    block = max(1, _KEY_BLOCK_ENTRIES // (max(k, n) * len(gens)))
     for start in range(0, k, block):
+        rows = p[start : start + block]
+        # f(x * g) against f(x) * f(g), for f in this block
+        bad = rows[:, right] != table[rows[:, :, None], of_gens[start : start + block, None, :]]
+        if bad.any():
+            _, x, j = map(int, np.argwhere(bad)[0])
+            raise NotMultiplicativeError((x, gens[j]))
         # composite[i, j] = keys of perms[i] applied to perms[j]'s generator images
-        composite = keys(p[start : start + block][:, of_gens])
+        composite = keys(rows[:, of_gens])
         pos = np.minimum(np.searchsorted(sorted_keys, composite), k - 1)
         missing = sorted_keys[pos] != composite
         if missing.any():
@@ -402,8 +410,8 @@ def _composition_table(perms: tuple[tuple[int, ...], ...], gens: list[int]) -> n
             raise NotClosedError(
                 f"composite of automorphisms {start + i} and {j} is not among those found"
             )
-        table[start : start + block] = order[pos]
-    return table
+        out[start : start + block] = order[pos]
+    return out
 
 
 def conjugation_perm(g: FiniteGroup, promoted: AsGroup, x: int) -> tuple[int, ...]:
@@ -429,23 +437,22 @@ def conj_normal(
     return make_hom(g, aut.carrier, mapping)
 
 
+def cyclic_hom(source: FiniteGroup, target: FiniteGroup, image: int) -> Hom:
+    """The homomorphism sending source.cyclic_generator()^j to image^j;
+    NotMultiplicativeError if the order of image does not divide |source|."""
+    gen = source.cyclic_generator()
+    if gen is None:
+        raise NotCyclicSourceError("source group is not cyclic")
+    walk = target.powers(image)
+    mapping = [0] * source.order
+    for j, x in enumerate(source.powers(gen)):
+        mapping[x] = walk[j % len(walk)]
+    return make_hom(source, target, mapping)
+
+
 def homs_to_aut(p: FiniteGroup, a: AutGroup) -> list[Hom]:
     """All homomorphisms from a cyclic group into an automorphism group's
     carrier, enumerated by the image of the generator. The trivial
     homomorphism comes first."""
-    gen = p.cyclic_generator()
-    if gen is None:
-        raise NotCyclicSourceError("hom enumeration needs a cyclic source")
-    n = p.order
-    source = p.powers(gen)
-    carrier = a.carrier
-    homs: list[Hom] = []
-    for img in range(carrier.order):
-        image = carrier.powers(img)
-        if n % len(image) != 0:
-            continue
-        mapping = [0] * n
-        for j, x in enumerate(source):
-            mapping[x] = image[j % len(image)]
-        homs.append(make_hom(p, carrier, mapping))
-    return homs
+    orders = a.carrier.element_orders()
+    return [cyclic_hom(p, a.carrier, x) for x, m in enumerate(orders) if p.order % m == 0]

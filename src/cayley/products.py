@@ -20,6 +20,7 @@ from .morphisms import (
     Hom,
     Iso,
     automorphism_group,
+    cyclic_hom,
     identity_iso,
     iso_from_forward,
     make_hom,
@@ -117,8 +118,8 @@ def cyclic_power_semidirect(q: int, p: int, k: int) -> ProductGroup:
         raise InvalidActionError(f"k^p = {k}^{p} is not 1 modulo {q}")
     cq, cp = cyclic_group(q), cyclic_group(p)
     aut = automorphism_group(cq)
-    mapping = [aut.auto_index(tuple(pow(k, j, q) * x % q for x in range(q))) for j in range(p)]
-    return semidirect_product(cq, cp, make_hom(cp, aut.carrier, mapping), aut)
+    phi = cyclic_hom(cp, aut.carrier, aut.auto_index(tuple(k * x % q for x in range(q))))
+    return semidirect_product(cq, cp, phi, aut)
 
 
 def sdp_trivial_iso_direct(

@@ -13,7 +13,9 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import cayley
 from cayley.classification import (
     canonical_noncyclic,
     classify,
@@ -311,7 +313,10 @@ def test_criterion_8_classification_soundness():
 
 def test_criterion_9_verify_determinism():
     cmd = [sys.executable, "-m", "cayley.cli", "verify", "--max", "33", "--json"]
+    # The child imports the same cayley as this process, installed or not.
     env = dict(os.environ)
+    src = str(Path(cayley.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     runs = [
         subprocess.run(cmd, capture_output=True, env=env, check=False)
         for _ in range(2)

@@ -260,6 +260,7 @@ def test_powers_walk_the_cyclic_subgroup():
             assert powers == expected
             assert g.mul(powers[-1], x) == 0
             assert len(powers) == g.element_order(x) == naive_element_order(g, x)
+        assert g.element_orders() == tuple(naive_element_order(g, x) for x in range(g.order))
     with pytest.raises(IndexError):
         cyclic_group(3).powers(3)
 

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayley.core import cyclic_group, symmetric_group
+from cayley import morphisms
+from cayley.core import cyclic_group, from_table, symmetric_group
 from cayley.errors import (
     BudgetExceededError,
     IdentityNotPreservedError,
     NotBijectiveError,
     NotClosedError,
+    NotLatinError,
     NotCyclicSourceError,
     NotMultiplicativeError,
 )
@@ -17,6 +19,7 @@ from cayley.morphisms import (
     _composition_table,
     automorphism_group,
     conj_normal,
+    cyclic_hom,
     find_isomorphism,
     fingerprint,
     fingerprint_mismatch,
@@ -85,14 +88,29 @@ def test_automorphism_carrier_matches_naive_composition():
         assert aut.carrier.rows() == naive_composition_table(aut.perms)
         for i, p in enumerate(aut.perms):
             assert aut.auto_index(p) == i
-            assert aut.autos[i].forward.map == p
+            assert iso_from_forward(make_hom(g, g, p)).forward.map == p
 
 
 def test_carrier_rejects_family_not_closed_under_composition():
     # Multiplication by 2 on C_5 without its square, multiplication by 4.
     perms = (tuple(range(5)), tuple(2 * x % 5 for x in range(5)))
     with pytest.raises(NotClosedError, match="automorphisms 1 and 1"):
-        _composition_table(perms, [1])
+        _composition_table(cyclic_group(5).table, perms, [1])
+
+
+def test_carrier_rejects_a_bijection_that_is_not_multiplicative():
+    swap = (0, 2, 1, 3, 4)  # swaps 1 and 2 in C_5; its own inverse
+    with pytest.raises(NotMultiplicativeError) as excinfo:
+        _composition_table(cyclic_group(5).table, (tuple(range(5)), swap), [1])
+    x, g = excinfo.value.pair
+    assert swap[(x + g) % 5] != (swap[x] + swap[g]) % 5
+
+
+def test_carrier_of_a_non_injective_family_is_not_latin():
+    # The zero map of C_2 is multiplicative but has no inverse in the family.
+    perms = ((0, 1), (0, 0))
+    with pytest.raises(NotLatinError):
+        from_table(2, _composition_table(cyclic_group(2).table, perms, [1]))
 
 
 def test_trivial_hom_everywhere():
@@ -170,8 +188,8 @@ def test_aut_group_is_materialized_correctly(s3):
     aut = automorphism_group(s3)
     assert aut.carrier.order == 6  # Inn(S3) = S3, complete group
     assert len(set(aut.perms)) == len(aut.perms)
-    for iso in aut.autos:
-        iso.validate()
+    for p in aut.perms:
+        iso_from_forward(make_hom(s3, s3, p)).validate()
     # Carrier table is composition of the indexed automorphisms.
     for i in range(aut.carrier.order):
         for j in range(aut.carrier.order):
@@ -199,11 +217,12 @@ def test_aut_elementary_abelian_nine():
     assert automorphism_group(c3c3).carrier.order == 48
 
 
-def test_aut_budget():
+def test_aut_budget(monkeypatch):
     c2 = cyclic_group(2)
     c8_elementary = direct_product(direct_product(c2, c2).group, c2).group
+    monkeypatch.setattr(morphisms, "AUT_CARRIER_LIMIT", 100)
     with pytest.raises(BudgetExceededError):
-        automorphism_group(c8_elementary, carrier_limit=100)  # |Aut| = 168
+        automorphism_group(c8_elementary)  # |Aut| = 168
 
 
 def test_conj_normal_abelian_is_trivial(c6):
@@ -305,6 +324,37 @@ def test_homs_to_aut_against_brute_force():
 def test_homs_to_aut_needs_cyclic_source(s3):
     with pytest.raises(NotCyclicSourceError):
         homs_to_aut(s3, automorphism_group(cyclic_group(3)))
+
+
+def _power_oracle(group, x: int, j: int) -> int:
+    """x^j by j - 1 right multiplications."""
+    y = 0
+    for _ in range(j):
+        y = group.mul(y, x)
+    return y
+
+
+def test_cyclic_hom_matches_repeated_multiplication(s3):
+    relabelled_c6 = relabel(cyclic_group(6), [0, 4, 2, 5, 1, 3])
+    gen = relabelled_c6.cyclic_generator()
+    assert gen != 1
+    cases = [(relabelled_c6, s3, x) for x in range(6)]  # S3's element orders divide 6
+    cases += [(cyclic_group(12), cyclic_group(12), x) for x in range(12)]
+    cases += [(cyclic_group(6), relabelled_c6, x) for x in range(6)]
+    for source, target, image in cases:
+        f = cyclic_hom(source, target, image)
+        g = source.cyclic_generator()
+        for j in range(source.order):
+            assert f.map[_power_oracle(source, g, j)] == _power_oracle(target, image, j)
+
+
+def test_cyclic_hom_rejects_bad_sources_and_images(s3):
+    with pytest.raises(NotCyclicSourceError):
+        cyclic_hom(s3, cyclic_group(6), 1)
+    with pytest.raises(NotMultiplicativeError):
+        cyclic_hom(cyclic_group(4), cyclic_group(3), 1)  # order 3 does not divide 4
+    with pytest.raises(NotMultiplicativeError):
+        cyclic_hom(cyclic_group(2), s3, next(x for x in range(6) if s3.element_order(x) == 3))
 
 
 def test_hom_composition_stays_valid(s3, c6):
