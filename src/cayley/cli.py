@@ -171,7 +171,7 @@ def _cmd_recognize(args) -> int:
                 "kind": kind,
                 "n": list(sub_n.members),
                 "h": list(sub_h.members),
-                "product": product_group.rows(),
+                "product": product_group.table.tolist(),
                 "iso": list(mapping),
             }
         )
@@ -206,7 +206,7 @@ def _cmd_enumerate(args) -> int:
                 "nodes": report.stats.nodes,
                 "tables_completed": report.stats.tables_completed,
                 "iso_rejections": report.stats.iso_rejections,
-                "representatives": [rep.rows() for rep in report.representatives],
+                "representatives": [rep.table.tolist() for rep in report.representatives],
             }
         )
     else:

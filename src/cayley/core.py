@@ -1,7 +1,8 @@
 """Concrete finite groups as validated Cayley tables.
 
-A group of order n is a dense n x n table of element indices with the
-identity pinned at index 0. Validation checks all four structural
+A group of order n is a dense n x n numpy table of element indices with
+the identity pinned at index 0, its only representation: walks read single
+entries or the columns they need. Validation checks all four structural
 invariants (identity, Latin property, associativity, inverses); any
 group object in circulation has passed them.
 
@@ -96,9 +97,11 @@ def _associativity_witness(table: np.ndarray) -> tuple[int, int, int] | None:
 
 
 class FiniteGroup:
-    """A finite group on elements 0..order-1, identity at 0, immutable."""
+    """A finite group on elements 0..order-1, identity at 0, immutable.
+    `table` is its one representation (walks read single entries or the
+    columns they need); derived values are cached in `_memo`."""
 
-    __slots__ = ("order", "table", "inverse", "_hash", "_orders", "_rows", "_memo")
+    __slots__ = ("order", "table", "inverse", "_hash", "_memo")
 
     def __init__(self, order: int, table: np.ndarray, inverse: np.ndarray):
         # Internal constructor: callers go through from_table().
@@ -106,8 +109,6 @@ class FiniteGroup:
         self.table = table
         self.inverse = inverse
         self._hash: int | None = None
-        self._orders: tuple[int, ...] | None = None
-        self._rows: list[list[int]] | None = None
         self._memo: dict = {}  # derived-invariant cache (values immutable)
 
     # Arithmetic.
@@ -126,12 +127,11 @@ class FiniteGroup:
         """[x^0, x^1, ..., x^(m-1)], where m is the order of x."""
         if not 0 <= x < self.order:
             raise IndexError(f"element {x} out of range for order {self.order}")
-        rows = self.rows()
         out = [0]
         y = x
         while y != 0:
             out.append(y)
-            y = rows[y][x]
+            y = int(self.table[y, x])
         return out
 
     def element_order(self, x: int) -> int:
@@ -142,15 +142,15 @@ class FiniteGroup:
 
         Each cyclic subgroup is walked once: if x has order m, then x^j
         has order m / gcd(j, m)."""
-        if self._orders is None:
+        if "element_orders" not in self._memo:
             orders = [0] * self.order
             for x in range(self.order):
                 if not orders[x]:
                     walk = self.powers(x)
                     for j, y in enumerate(walk):
                         orders[y] = len(walk) // math.gcd(j, len(walk))
-            self._orders = tuple(orders)
-        return self._orders
+            self._memo["element_orders"] = tuple(orders)
+        return self._memo["element_orders"]
 
     # Structure predicates.
 
@@ -209,12 +209,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
-
-    def rows(self) -> list[list[int]]:
-        """Table as plain nested lists (cached; callers must not mutate)."""
-        if self._rows is None:
-            self._rows = self.table.tolist()
-        return self._rows
 
 
 def _validate(n: int, table: np.ndarray) -> np.ndarray:

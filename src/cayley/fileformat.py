@@ -92,7 +92,7 @@ def write_group_text(group: FiniteGroup, comments: Iterable[str] = ()) -> str:
     # Indexing a list of the decimal names is several times faster than
     # formatting every entry with str().
     names = [str(i) for i in range(group.order)]
-    for row in group.rows():
+    for row in group.table.tolist():
         out.write(" ".join([names[v] for v in row]) + "\n")
     return out.getvalue()
 

@@ -202,9 +202,9 @@ def _element_stats(g: FiniteGroup) -> list[tuple[int, int, int]]:
     if cached is None:
         orders = g.element_orders()
         centralizer_sizes = g.centralizer_sizes()
-        rows = g.rows()
+        squares = np.diagonal(g.table).tolist()
         cached = [
-            (orders[x], g.order // int(centralizer_sizes[x]), orders[rows[x][x]])
+            (orders[x], g.order // int(centralizer_sizes[x]), orders[squares[x]])
             for x in range(g.order)
         ]
         g._memo["element_stats"] = cached
@@ -218,13 +218,12 @@ def generating_sequence(g: FiniteGroup) -> list[int]:
     return greedy_generators(g.table, by_order.tolist())
 
 
-def _spread(g1: FiniteGroup, g2: FiniteGroup, gens: list[int], images: list[int]):
-    """Propagate generator images through closure.
-
+def _spread(gens: list[int], images: list[int], columns1: list, columns2: list):
+    """Propagate generator images through closure; columns1[i] and columns2[i]
+    are the source column of gens[i] and the target column of images[i].
     Returns the partial map (length-n list, -1 outside the closure of the
-    assigned generators) or None on conflict.
-    """
-    n = g1.order
+    assigned generators) or None on conflict."""
+    n = len(columns1[0])
     m = [-1] * n
     used = [False] * n
     m[0] = 0
@@ -237,7 +236,6 @@ def _spread(g1: FiniteGroup, g2: FiniteGroup, gens: list[int], images: list[int]
             used[img] = True
         elif m[g] != img:
             return None
-    t1, t2 = g1.rows(), g2.rows()
     frontier = [0]
     queued = [False] * n
     queued[0] = True
@@ -246,9 +244,9 @@ def _spread(g1: FiniteGroup, g2: FiniteGroup, gens: list[int], images: list[int]
         x = frontier[pos]
         pos += 1
         fx = m[x]
-        for g, img in zip(gens, images):
-            y = t1[x][g]
-            w = t2[fx][img]
+        for c1, c2 in zip(columns1, columns2):
+            y = c1[x]
+            w = c2[fx]
             if m[y] == -1:
                 if used[w]:
                     return None
@@ -279,16 +277,21 @@ def _image_search(
     candidates = [
         [y for y in range(n) if stats2[y] == stats1[g]] for g in gens
     ]
+    source_columns = g1.table[:, gens].T.tolist()
+    target_columns: dict[int, list[int]] = {}
     found: list[tuple[int, ...]] = []
     nodes = 0
 
-    def rec(depth: int, images: list[int]) -> bool:
+    def rec(depth: int, images: list[int], columns: list[list[int]]) -> bool:
         nonlocal nodes
         for img in candidates[depth]:
             nodes += 1
             if nodes > SEARCH_NODE_LIMIT:
                 raise BudgetExceededError("isomorphism search node budget exceeded")
-            m = _spread(g1, g2, gens[: depth + 1], images + [img])
+            if img not in target_columns:
+                target_columns[img] = g2.table[:, img].tolist()
+            imgs, cols = images + [img], columns + [target_columns[img]]
+            m = _spread(gens[: depth + 1], imgs, source_columns[: depth + 1], cols)
             if m is None:
                 continue
             if depth + 1 == len(gens):
@@ -299,13 +302,13 @@ def _image_search(
                     raise BudgetExceededError(
                         f"more than {AUT_CARRIER_LIMIT} automorphisms; raise the carrier limit"
                     )
-            elif rec(depth + 1, images + [img]):
+            elif rec(depth + 1, imgs, cols):
                 return True
         return False
 
     if n == 1:
         return [(0,)]
-    rec(0, [])
+    rec(0, [], [])
     return found
 
 

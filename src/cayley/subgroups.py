@@ -83,8 +83,11 @@ def _mask(n: int, members) -> np.ndarray:
 
 def closure(parent: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the generators."""
-    members = closure_indices(parent.table, [int(g) for g in gens])
-    return Subgroup(parent, members)
+    gens = [int(g) for g in gens]
+    for x in gens:
+        if not 0 <= x < parent.order:
+            raise NotSubgroupError(f"index {x} out of range")
+    return Subgroup(parent, closure_indices(parent.table, gens))
 
 
 def bot(parent: FiniteGroup) -> Subgroup:

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cayley.core import cyclic_group, symmetric_group
@@ -19,3 +24,24 @@ def c6():
 @pytest.fixture(scope="session")
 def klein():
     return direct_product(cyclic_group(2), cyclic_group(2)).group
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The C kernel, freshly built by setup.py into a temporary directory."""
+    build = tmp_path_factory.mktemp("fillcore_build")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(build / "lib"), "--build-temp", str(build / "temp")],
+        cwd=Path(__file__).resolve().parents[1],
+        capture_output=True,
+        text=True,
+    )
+    # The extension is optional, so a failed compile can still exit 0.
+    built = sorted((build / "lib" / "cayley").glob("_fillcore_c.*"))
+    if proc.returncode != 0 or not built:
+        pytest.fail(f"building _fillcore.c failed:\n{proc.stdout}{proc.stderr}", pytrace=False)
+    spec = importlib.util.spec_from_file_location("cayley._fillcore_c", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

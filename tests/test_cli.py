@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cayley import _fillcore, enumeration
 from cayley.cli import main
 from cayley.core import cyclic_group, symmetric_group
 from cayley.fileformat import read_group, write_group
@@ -308,3 +310,21 @@ def test_cli_fuzz_exits_cleanly(data, n, h):
         ]
         for argv in runs:
             assert _exit_code(argv) in {0, 1, 2, 3}, argv
+
+
+# sha256 of stdout for two fixed invocations: identical invocations must
+# print byte-identical output, on the pure and the compiled kernel alike.
+GOLDEN_STDOUT_SHA256 = {
+    ("enumerate", "16", "--json"): "cf5a804e6a0c43a6c96163c70c01557904523d1725f4884e7174d5e8f474e345",
+    ("verify", "--max", "33", "--json"): "8e9e314a2373665c72739baf46ee14b8dd62abf87e091809ae3307a765925eb0",
+}
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT_SHA256))
+def test_golden_stdout(capsys, monkeypatch, request, backend, argv):
+    kernel = _fillcore if backend == "pure" else request.getfixturevalue("compiled_kernel")
+    monkeypatch.setattr(enumeration, "_kernel", kernel)
+    code, out, _ = run(capsys, list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]

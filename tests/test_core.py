@@ -105,8 +105,8 @@ def test_validator_agrees_with_naive_oracle():
     tables = [
         [[0]],
         [[0, 1], [1, 0]],
-        cyclic_group(4).rows(),
-        symmetric_group(3).rows(),
+        cyclic_group(4).table.tolist(),
+        symmetric_group(3).table.tolist(),
         NONASSOCIATIVE_LOOP,
         [[0, 1], [1, 1]],
         [[1, 0], [0, 1]],

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import math
+import os
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,11 +36,12 @@ from cayley.morphisms import (
     restrict,
     trivial_hom,
 )
-from cayley.products import direct_product, semidirect_product
+from cayley.products import cyclic_power_semidirect, direct_product, semidirect_product
 from cayley.subgroups import subgroup_of_order, top
 
 from oracles import (
     naive_composition_table,
+    naive_element_order,
     naive_hom_maps,
     relabel,
     small_group_corpus,
@@ -85,7 +91,7 @@ def test_automorphism_carrier_matches_naive_composition():
         ident = tuple(range(g.order))
         assert aut.perms[0] == ident
         assert list(aut.perms[1:]) == sorted(aut.perms[1:])
-        assert aut.carrier.rows() == naive_composition_table(aut.perms)
+        assert aut.carrier.table.tolist() == naive_composition_table(aut.perms)
         for i, p in enumerate(aut.perms):
             assert aut.auto_index(p) == i
             assert iso_from_forward(make_hom(g, g, p)).forward.map == p
@@ -370,3 +376,69 @@ def test_identity_iso_roundtrip(c6):
     iso = identity_iso(c6)
     iso.validate()
     assert iso.inverse().forward.map == iso.forward.map
+
+
+def _element_stats_oracle(g):
+    """(order, conjugacy class size, order of the square) by brute force."""
+    orders = [naive_element_order(g, x) for x in range(g.order)]
+    stats = []
+    for x in range(g.order):
+        conjugates = {g.mul(g.mul(y, x), g.inv(y)) for y in range(g.order)}
+        stats.append((orders[x], len(conjugates), orders[g.mul(x, x)]))
+    return stats
+
+
+def test_element_stats_match_brute_force():
+    groups = small_group_corpus(10) + [
+        cyclic_group(300),
+        cyclic_power_semidirect(97, 3, 35).group,
+    ]
+    for g in groups:
+        assert morphisms._element_stats(g) == _element_stats_oracle(g), g.order
+
+
+def _relabelled(g, seed):
+    """g with its non-identity elements renamed by a seeded permutation, by
+    one numpy gather: oracles.relabel builds nested lists, which near the
+    size cap take seconds and several hundred MB."""
+    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(g.order - 1)])
+    table = np.empty_like(g.table)
+    table[perm[:, None], perm[None, :]] = perm[g.table]
+    return from_table(g.order, table)
+
+
+def _check_walks_hold_no_table_copy(g, expected_orders):
+    """Element orders, fingerprint and an isomorphism search on g must
+    allocate well under one nested-list copy of the table (about 10x its
+    int32 bytes), and still give the right answers."""
+    h = _relabelled(g, seed=g.order)
+    tracemalloc.start()
+    try:
+        orders = g.element_orders()
+        fingerprint(g)
+        iso = find_isomorphism(g, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert orders == expected_orders
+    assert iso is not None
+    iso.validate()
+    assert peak < 4 * g.table.nbytes, (peak, g.table.nbytes)
+
+
+_stress = pytest.mark.skipif(
+    not os.environ.get("CAYLEY_STRESS"), reason="order 4096; set CAYLEY_STRESS=1 to run"
+)
+
+
+@pytest.mark.parametrize("n", [1024, pytest.param(4096, marks=_stress)])
+def test_size_cap_cyclic_walks_hold_no_table_copy(n):
+    expected = tuple(n // math.gcd(i, n) for i in range(n))
+    _check_walks_hold_no_table_copy(cyclic_group(n), expected)
+
+
+@pytest.mark.parametrize("k", [10, pytest.param(12, marks=_stress)])
+def test_size_cap_elementary_abelian_walks_hold_no_table_copy(k):
+    idx = np.arange(1 << k, dtype=np.int32)
+    g = from_table(1 << k, idx[:, None] ^ idx[None, :])
+    _check_walks_hold_no_table_copy(g, (1,) + (2,) * (g.order - 1))

@@ -67,6 +67,14 @@ def test_subgroup_from_members_validates(s3):
     assert sub.members == (0, 3, 4)
 
 
+def test_closure_rejects_out_of_range_generators(c6):
+    # A negative index must not wrap round to the last element.
+    with pytest.raises(NotSubgroupError, match="index -1 out of range"):
+        closure(c6, [-1])
+    with pytest.raises(NotSubgroupError, match="index 6 out of range"):
+        closure(c6, [2, 6])
+
+
 def test_lattice_laws():
     for g in [symmetric_group(3), cyclic_group(12)]:
         subs = all_subgroups(g)
@@ -189,7 +197,7 @@ def test_as_group_order_and_lagrange():
 
 def test_is_normal_and_as_group_match_naive_loops():
     for g in small_group_corpus(10):
-        rows = g.rows()
+        rows = g.table.tolist()
         inv = [rows[y].index(0) for y in range(g.order)]
         for x in range(g.order):
             h = closure(g, [x])
@@ -200,4 +208,4 @@ def test_is_normal_and_as_group_match_naive_loops():
             assert is_normal(h) == normal
             section = {m: i for i, m in enumerate(h.members)}
             expected = [[section[rows[a][b]] for b in h.members] for a in h.members]
-            assert as_group(h).group.rows() == expected
+            assert as_group(h).group.table.tolist() == expected
