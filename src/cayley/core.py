@@ -9,8 +9,8 @@ group object in circulation has passed them.
 Subgroup closure is a breadth-first search from the identity under right
 multiplication by the generators, reading only the generator columns of
 the table. `greedy_generators`, the one generating-sequence routine,
-adjoins each candidate outside that closure; above order 256 associativity
-is checked on its generators of range(n) (Light's criterion).
+adjoins each candidate outside that closure. Associativity is checked at
+every order on its generators of range(n) only (Light's criterion).
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ from .errors import (
 )
 
 MAX_ORDER = 4096
-
-# Above this order the full O(n^3) associativity scan is replaced by a
-# generator-based check (equivalent, but O(n^2 * generators)).
-_FULL_ASSOC_LIMIT = 256
 
 
 def closure_indices(table: np.ndarray, gens: Iterable[int]) -> tuple[int, ...]:
@@ -73,21 +69,14 @@ def greedy_generators(table: np.ndarray, candidates: Iterable[int]) -> list[int]
 
 
 def _associativity_witness(table: np.ndarray) -> tuple[int, int, int] | None:
-    """Return a triple violating associativity, or None if there is none."""
-    n = table.shape[0]
-    if n <= _FULL_ASSOC_LIMIT:
-        for i in range(n):
-            lhs = table[table[i], :]
-            rhs = table[i, table]
-            if not np.array_equal(lhs, rhs):
-                j, k = map(int, np.argwhere(lhs != rhs)[0])
-                return (i, j, k)
-        return None
-    # Generator-based check: for a quasigroup with identity, associativity
-    # on triples (x, g, y) with g running over a generating set implies full
-    # associativity (Light's criterion). Every element of the table is a
-    # right-multiplied word in the generators, so the set really generates.
-    for g in greedy_generators(table, range(n)):
+    """Return a triple (x, g, y) with (xg)y != x(gy), or None if there is none.
+
+    Light's criterion: the elements a with (xa)y = x(ay) for all x, y
+    include 0 and are closed under products, and every element is a
+    left-nested word in the greedy generators of range(n). So checking
+    g over those generators decides associativity exactly, in
+    O(n^2 * generators), and g is always one of them."""
+    for g in greedy_generators(table, range(table.shape[0])):
         lhs = table[table[:, g], :]
         rhs = table[:, table[g, :]]
         if not np.array_equal(lhs, rhs):
@@ -113,20 +102,26 @@ class FiniteGroup:
 
     # Arithmetic.
 
+    def _element(self, x: int) -> int:
+        """x itself, or IndexError if it is not an element (numpy would
+        wrap a negative index to another element)."""
+        if not 0 <= x < self.order:
+            raise IndexError(f"element {x} out of range for order {self.order}")
+        return x
+
     def mul(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
+        return int(self.table[self._element(i), self._element(j)])
 
     def inv(self, i: int) -> int:
-        return int(self.inverse[i])
+        return int(self.inverse[self._element(i)])
 
     def conj(self, x: int, g: int) -> int:
         """g * x * g^-1."""
-        return int(self.table[self.table[g, x], self.inverse[g]])
+        return self.mul(self.mul(g, x), self.inv(g))
 
     def powers(self, x: int) -> list[int]:
         """[x^0, x^1, ..., x^(m-1)], where m is the order of x."""
-        if not 0 <= x < self.order:
-            raise IndexError(f"element {x} out of range for order {self.order}")
+        self._element(x)
         out = [0]
         y = x
         while y != 0:
@@ -257,6 +252,8 @@ def cyclic_group(n: int) -> FiniteGroup:
     """The cyclic group of order n; element i is the generator to the power i."""
     if n < 1:
         raise SizeCapError("cyclic group order must be at least 1")
+    if n > MAX_ORDER:
+        raise SizeCapError(f"order {n} exceeds the cap of {MAX_ORDER}")
     idx = np.arange(n, dtype=np.int32)
     table = (idx[:, None] + idx[None, :]) % n
     return from_table(n, table)

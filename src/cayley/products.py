@@ -112,6 +112,8 @@ def cyclic_power_semidirect(q: int, p: int, k: int) -> ProductGroup:
     """C_q x| C_p with the generator of C_p acting on C_q as r -> r^k."""
     if q < 1 or p < 1:
         raise InvalidActionError("factor orders must be positive")
+    if q * p > MAX_ORDER:
+        raise SizeCapError(f"product order {q * p} exceeds the cap of {MAX_ORDER}")
     if not 1 <= k < q or math.gcd(k, q) != 1:
         raise InvalidActionError(f"k must lie in 1..{q - 1} and be coprime to {q}")
     if pow(k, p, q) != 1:

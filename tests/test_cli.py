@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from cayley import _fillcore, enumeration
 from cayley.cli import main
 from cayley.core import cyclic_group, symmetric_group
+from cayley.errors import SizeCapError
 from cayley.fileformat import read_group, write_group
 
 
@@ -188,6 +190,29 @@ def test_recognize_negative_index(capsys, tmp_path):
     code, _, err = run(capsys, ["recognize", str(path), "--n", "0,1,2", "--h", "0,-1"])
     assert code == 1
     assert err == "error: NotSubgroup: index -1 out of range\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "cyclic", "1000000"],
+        ["construct", "sdp", "1000000", "2", "--k", "999999"],
+    ],
+)
+def test_size_cap_is_checked_before_allocating(capsys, argv):
+    # An n x n table of a million elements would need terabytes: the cap
+    # must reject the order before anything of that size is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError):
+            cyclic_group(10**6)
+        code, out, err = run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: SizeCap: ")
+    assert peak < 1 << 20
 
 
 def test_construct_unwritable_out(capsys, tmp_path):

@@ -20,6 +20,7 @@ from cayley.errors import (
 )
 from cayley.morphisms import generating_sequence
 from cayley.products import cyclic_power_semidirect, direct_product
+from cayley.subgroups import closure, conjugate_subgroup
 
 from oracles import (
     naive_closure,
@@ -78,19 +79,85 @@ def test_not_associative_with_witness():
     assert t[t[i][j]][k] != t[i][t[j][k]]
 
 
+def _reduced_latin_squares(n: int):
+    """Every n x n Latin square whose row 0 and column 0 are 0..n-1, by
+    backtracking over the remaining cells in row-major order."""
+    rows = [list(range(n))] + [[i] + [0] * (n - 1) for i in range(1, n)]
+    row_used = [{i} for i in range(n)]
+    col_used = [{j} for j in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(c):
+        if c == len(cells):
+            yield [r[:] for r in rows]
+            return
+        i, j = cells[c]
+        for v in range(n):
+            if v not in row_used[i] and v not in col_used[j]:
+                rows[i][j] = v
+                row_used[i].add(v)
+                col_used[j].add(v)
+                yield from fill(c + 1)
+                row_used[i].remove(v)
+                col_used[j].remove(v)
+
+    yield from fill(0)
+
+
+def _assert_generator_witness(rows, excinfo):
+    """The witness is (x, g, y) with (xg)y != x(gy) and g one of the greedy
+    generators of range(n) that the associativity check runs over."""
+    x, g, y = excinfo.value.triple
+    assert rows[rows[x][g]][y] != rows[x][rows[g][y]]
+    table = np.array(rows, dtype=np.int32)
+    assert g in greedy_generators(table, range(len(rows)))
+
+
+def test_validator_matches_oracle_on_every_reduced_latin_square():
+    squares = groups = 0
+    for n in range(1, 7):
+        for rows in _reduced_latin_squares(n):
+            squares += 1
+            if naive_is_group_table(rows):
+                groups += 1
+                assert from_table(n, rows).order == n
+            else:
+                with pytest.raises(NotAssociativeError) as excinfo:
+                    from_table(n, rows)
+                _assert_generator_witness(rows, excinfo)
+    # Reduced Latin squares of orders 1..6: 1 + 1 + 1 + 4 + 56 + 9408.
+    assert (squares, groups) == (9471, 93)
+
+
 def test_light_criterion_rejects_large_nonassociative_loop():
-    # NONASSOCIATIVE_LOOP x C_60 has order 300, above the full-scan limit, so
-    # validation goes through the generator-based associativity check.
-    m = 60
+    # NONASSOCIATIVE_LOOP x C_m for m = 51 and 60 (orders 255 and 300): the
+    # generator-based associativity check must still find a witness when the
+    # loop is one factor of a larger table.
     loop = NONASSOCIATIVE_LOOP
-    n = len(loop) * m
-    rows = [
-        [loop[a // m][b // m] * m + (a + b) % m for b in range(n)] for a in range(n)
-    ]
-    with pytest.raises(NotAssociativeError) as excinfo:
-        from_table(n, rows)
-    i, j, k = excinfo.value.triple
-    assert rows[rows[i][j]][k] != rows[i][rows[j][k]]
+    for m in (51, 60):
+        n = len(loop) * m
+        rows = [
+            [loop[a // m][b // m] * m + (a + b) % m for b in range(n)] for a in range(n)
+        ]
+        with pytest.raises(NotAssociativeError) as excinfo:
+            from_table(n, rows)
+        _assert_generator_witness(rows, excinfo)
+
+
+def test_element_indices_are_range_checked(c6):
+    for bad in (-1, 6):
+        for call in (
+            lambda: c6.mul(bad, 2),
+            lambda: c6.mul(2, bad),
+            lambda: c6.inv(bad),
+            lambda: c6.conj(bad, 1),
+            lambda: c6.conj(1, bad),
+            lambda: c6.powers(bad),
+            lambda: conjugate_subgroup(closure(c6, [2]), bad),
+        ):
+            with pytest.raises(IndexError, match=f"element {bad} out of range for order 6"):
+                call()
+    assert (c6.mul(5, 2), c6.inv(5), c6.conj(1, 5)) == (1, 1, 1)
 
 
 def test_closure_indices_matches_naive_closure():
