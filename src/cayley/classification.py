@@ -3,8 +3,8 @@
 The classifier never runs a raw isomorphism search on its main path: it
 extracts prime-order subgroups, checks normality, applies internal-product
 recognition, and transports the witness onto the canonical representative
-with a pair-map isomorphism. The independent isomorphism search stays
-available as a cross-check.
+with a pair-map isomorphism (sdp_congr). The independent isomorphism
+search stays available as a cross-check.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .products import (
     ProductGroup,
     cyclic_power_semidirect,
     direct_product,
-    product_pair_iso,
     sdp_congr,
     semidirect_product,
 )
@@ -177,7 +176,7 @@ def _classify_prime_squared(g: FiniteGroup, p: int) -> ElementaryAbelianResult:
     source_dp = direct_product(as_group(sub_a).group, as_group(sub_b).group)
     cp = cyclic_group(p)
     target_dp = direct_product(cp, cp)
-    bridge = product_pair_iso(
+    bridge = sdp_congr(
         iso_from_forward(cyclic_hom(source_dp.n_factor, cp, 1)),
         iso_from_forward(cyclic_hom(source_dp.h_factor, cp, 1)),
         source_dp,
@@ -195,7 +194,7 @@ def _classify_semidirect(g: FiniteGroup, p: int, q: int) -> SemidirectResult:
     for a in range(1, p):
         f_p = iso_from_forward(cyclic_hom(witness.product.h_factor, target.h_factor, a))
         try:
-            bridge = sdp_congr(f_q, f_p, witness.phi, target.phi, witness.product, target)
+            bridge = sdp_congr(f_q, f_p, witness.product, target)
         except IncompatibleActionError:
             continue
         return SemidirectResult(
@@ -234,9 +233,8 @@ def express_as_semidirect(g: FiniteGroup, p: int, q: int) -> tuple[Hom, Iso]:
         return result.phi, result.iso
     cq = cyclic_group(q)
     cp = cyclic_group(p)
-    aut = automorphism_group(cq)
-    phi = trivial_hom(cp, aut.carrier)
-    product = semidirect_product(cq, cp, phi, aut)
+    phi = trivial_hom(cp, automorphism_group(cq).carrier)
+    product = semidirect_product(cq, cp, phi)
     iso = iso_from_forward(cyclic_hom(g, product.group, product.pair_index(1, 1)))
     return phi, iso
 

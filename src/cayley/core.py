@@ -238,10 +238,17 @@ def _validate(n: int, table: np.ndarray) -> np.ndarray:
 
 
 def from_table(order: int, table: Sequence[Sequence[int]] | np.ndarray) -> FiniteGroup:
-    """Validate an index table and wrap it as a FiniteGroup."""
-    arr = np.array(table, dtype=np.int32)
+    """Validate an index table and wrap it as a FiniteGroup (on a copy)."""
+    arr = np.asarray(table)
     if arr.ndim != 2:
         raise NotClosedError(f"table must be two-dimensional, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu":
+        raise NotClosedError(f"table entries must be integers, got {arr.dtype}")
+    # No entry may reach MAX_ORDER; checked before the int32 cast would wrap one.
+    if arr.size and (arr.min() < 0 or arr.max() >= MAX_ORDER):
+        r, c = np.argwhere((arr < 0) | (arr >= MAX_ORDER))[0]
+        raise NotClosedError(f"entry at row {r}, column {c} out of range")
+    arr = arr.astype(np.int32)
     inverse = _validate(order, arr)
     arr.setflags(write=False)
     inverse.setflags(write=False)

@@ -53,10 +53,13 @@ class Hom:
     map: tuple[int, ...]
 
     def apply(self, x: int) -> int:
-        return self.map[x]
+        return self.map[self.source._element(x)]
 
     def then(self, other: Hom) -> Hom:
-        """Composite source -> other.target (self first)."""
+        """Composite source -> other.target (self first); other must start
+        where self ends."""
+        if other.source is not self.target and other.source != self.target:
+            raise MismatchedParentError("composed maps do not meet in one group")
         return make_hom(self.source, other.target, [other.map[v] for v in self.map])
 
     def is_trivial(self) -> bool:
@@ -88,12 +91,11 @@ def trivial_hom(source: FiniteGroup, target: FiniteGroup) -> Hom:
     return Hom(source, target, (0,) * source.order)
 
 
-def restrict(f: Hom, h: Subgroup, promoted: AsGroup | None = None) -> Hom:
+def restrict(f: Hom, h: Subgroup) -> Hom:
     """Restriction of f to a subgroup of its source, re-indexed via as_group."""
     if h.parent != f.source:
         raise MismatchedParentError("subgroup does not live in the hom's source")
-    if promoted is None:
-        promoted = as_group(h)
+    promoted = as_group(h)
     return make_hom(promoted.group, f.target, [f.map[x] for x in promoted.embed])
 
 
@@ -113,7 +115,7 @@ class Iso:
         return self.forward.target
 
     def apply(self, x: int) -> int:
-        return self.forward.map[x]
+        return self.forward.apply(x)
 
     def inverse(self) -> Iso:
         return Iso(self.backward, self.forward)
@@ -351,12 +353,16 @@ class AutGroup:
 
 
 def automorphism_group(g: FiniteGroup) -> AutGroup:
-    """All automorphisms of g, found by generator-image backtracking.
+    """All automorphisms of g, found by generator-image backtracking and
+    cached on g, so every caller holding g shares one carrier.
 
     The carrier table is built without hashing permutations: each
     automorphism is keyed by its images of generating_sequence(g), every
     composite's key is gathered in one step, and keys are looked up by
     binary search among the sorted keys of the automorphisms."""
+    cached = g._memo.get("automorphism_group")
+    if cached is not None:
+        return cached
     gens = generating_sequence(g)
     maps = _image_search(g, g, gens, find_all=True)
     ident = tuple(range(g.order))
@@ -364,7 +370,8 @@ def automorphism_group(g: FiniteGroup) -> AutGroup:
     # The trivial group has no generators; its one automorphism is keyed by 0.
     carrier = from_table(len(perms), _composition_table(g.table, perms, gens or [0]))
     index = {p: i for i, p in enumerate(perms)}
-    return AutGroup(g, carrier, perms, index)
+    g._memo["automorphism_group"] = AutGroup(g, carrier, perms, index)
+    return g._memo["automorphism_group"]
 
 
 # Composites keyed and checked per block of carrier rows; keeps the
@@ -422,20 +429,15 @@ def conjugation_perm(g: FiniteGroup, promoted: AsGroup, x: int) -> tuple[int, ..
     return tuple(promoted.section[g.conj(m, x)] for m in promoted.embed)
 
 
-def conj_normal(
-    g: FiniteGroup,
-    n: Subgroup,
-    promoted: AsGroup | None = None,
-    aut: AutGroup | None = None,
-) -> Hom:
+def conj_normal(g: FiniteGroup, n: Subgroup) -> Hom:
     """The conjugation homomorphism g -> Aut(N) for a normal subgroup N,
     landing in the automorphism group's carrier."""
+    if n.parent != g:
+        raise MismatchedParentError("subgroup does not live in the conjugating group")
     if not is_normal(n):
         raise NotNormalError("N")
-    if promoted is None:
-        promoted = as_group(n)
-    if aut is None:
-        aut = automorphism_group(promoted.group)
+    promoted = as_group(n)
+    aut = automorphism_group(promoted.group)
     mapping = [aut.auto_index(conjugation_perm(g, promoted, x)) for x in range(g.order)]
     return make_hom(g, aut.carrier, mapping)
 

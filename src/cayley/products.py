@@ -2,8 +2,10 @@
 
 Pairs (n, h) are packed as index n * |H| + h, so the identity lands at 0
 and product tables are reproducible. The action of a semidirect product is
-supplied as a homomorphism into the automorphism group's carrier; the
-indexed automorphism family recovers the actual permutations.
+supplied as a homomorphism into the carrier of Aut(N), which the product
+looks up itself (automorphism_group is cached on N); the indexed
+automorphism family recovers the actual permutations. sdp_congr is the one
+builder of pair maps (n, h) -> (f1 n, f2 h) between products.
 """
 
 from __future__ import annotations
@@ -14,7 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX_ORDER, FiniteGroup, cyclic_group, from_table
-from .errors import IncompatibleActionError, InvalidActionError, SizeCapError
+from .errors import (
+    IncompatibleActionError,
+    InvalidActionError,
+    MismatchedParentError,
+    SizeCapError,
+)
 from .morphisms import (
     AutGroup,
     Hom,
@@ -44,13 +51,14 @@ class ProductGroup:
     canonical_h: Subgroup
 
     def pair_index(self, n: int, h: int) -> int:
-        return n * self.h_factor.order + h
+        return self.n_factor._element(n) * self.h_factor.order + self.h_factor._element(h)
 
     def unpair(self, x: int) -> tuple[int, int]:
-        return divmod(x, self.h_factor.order)
+        return divmod(self.group._element(x), self.h_factor.order)
 
     def action(self, h: int, n: int) -> int:
         """Apply the twisting automorphism of h to n (identity for direct)."""
+        h, n = self.h_factor._element(h), self.n_factor._element(n)
         if self.phi is None or self.aut is None:
             return n
         return self.aut.perms[self.phi.map[h]][n]
@@ -89,17 +97,10 @@ def direct_product(n_grp: FiniteGroup, h_grp: FiniteGroup) -> ProductGroup:
     return _assemble(n_grp, h_grp, [ident] * h_grp.order, None, None)
 
 
-def semidirect_product(
-    n_grp: FiniteGroup,
-    h_grp: FiniteGroup,
-    phi: Hom,
-    aut: AutGroup | None = None,
-) -> ProductGroup:
-    """Multiplication (n1, h1)(n2, h2) = (n1 * phi(h1)(n2), h1 h2)."""
-    if aut is None:
-        aut = automorphism_group(n_grp)
-    if aut.base != n_grp:
-        raise InvalidActionError("automorphism group does not act on the normal factor")
+def semidirect_product(n_grp: FiniteGroup, h_grp: FiniteGroup, phi: Hom) -> ProductGroup:
+    """Multiplication (n1, h1)(n2, h2) = (n1 * phi(h1)(n2), h1 h2), where
+    phi maps H into the carrier of automorphism_group(n_grp)."""
+    aut = automorphism_group(n_grp)
     if phi.source != h_grp:
         raise InvalidActionError("action homomorphism source is not the H factor")
     if phi.target != aut.carrier:
@@ -121,51 +122,35 @@ def cyclic_power_semidirect(q: int, p: int, k: int) -> ProductGroup:
     cq, cp = cyclic_group(q), cyclic_group(p)
     aut = automorphism_group(cq)
     phi = cyclic_hom(cp, aut.carrier, aut.auto_index(tuple(k * x % q for x in range(q))))
-    return semidirect_product(cq, cp, phi, aut)
+    return semidirect_product(cq, cp, phi)
 
 
-def sdp_trivial_iso_direct(
-    n_grp: FiniteGroup,
-    h_grp: FiniteGroup,
-    aut: AutGroup | None = None,
-) -> Iso:
+def sdp_trivial_iso_direct(n_grp: FiniteGroup, h_grp: FiniteGroup) -> Iso:
     """The pair-preserving isomorphism N x_1 H -> N x H (trivial action)."""
-    if aut is None:
-        aut = automorphism_group(n_grp)
-    sdp = semidirect_product(n_grp, h_grp, trivial_hom(h_grp, aut.carrier), aut)
+    trivial = trivial_hom(h_grp, automorphism_group(n_grp).carrier)
+    sdp = semidirect_product(n_grp, h_grp, trivial)
     dp = direct_product(n_grp, h_grp)
     return identity_iso(sdp.group, dp.group)
 
 
-def product_pair_iso(f1: Iso, f2: Iso, source: ProductGroup, target: ProductGroup) -> Iso:
-    """The map (n, h) -> (f1 n, f2 h) between two products, validated."""
+def sdp_congr(f1: Iso, f2: Iso, source: ProductGroup, target: ProductGroup) -> Iso:
+    """The pair map (n, h) -> (f1 n, f2 h) from source = N1 x H1 onto
+    target = N2 x H2, for factor isomorphisms f1: N1 -> N2 and f2: H1 -> H2.
+
+    Each product carries its own action (the identity for a direct
+    product), and the map is an isomorphism exactly when the actions are
+    compatible: action2(f2 h)(f1 n) = f1(action1(h) n) for all n, h. The
+    loop that builds the map checks this, raising IncompatibleActionError
+    with the first failing pair (n, h)."""
+    factors = (source.n_factor, source.h_factor, target.n_factor, target.h_factor)
+    if (f1.source, f2.source, f1.target, f2.target) != factors:
+        raise MismatchedParentError("factor isomorphisms do not match the products' factors")
     mapping = [0] * source.group.order
-    for n in range(source.n_factor.order):
-        for h in range(source.h_factor.order):
-            mapping[source.pair_index(n, h)] = target.pair_index(f1.apply(n), f2.apply(h))
-    return iso_from_forward(make_hom(source.group, target.group, mapping))
-
-
-def sdp_congr(
-    f1: Iso,
-    f2: Iso,
-    phi1: Hom,
-    phi2: Hom,
-    source: ProductGroup | None = None,
-    target: ProductGroup | None = None,
-) -> Iso:
-    """Isomorphism N1 x_phi1 H1 -> N2 x_phi2 H2 induced by factor
-    isomorphisms f1: N1 -> N2 and f2: H1 -> H2, provided the actions are
-    compatible: phi2(f2 h)(f1 n) = f1(phi1(h) n) for all n, h. Raises
-    IncompatibleActionError with a witnessing pair otherwise."""
-    if source is None:
-        source = semidirect_product(f1.source, f2.source, phi1)
-    if target is None:
-        target = semidirect_product(f1.target, f2.target, phi2)
-    for n1 in range(f1.source.order):
-        for h1 in range(f2.source.order):
-            lhs = target.action(f2.apply(h1), f1.apply(n1))
-            rhs = f1.apply(source.action(h1, n1))
-            if lhs != rhs:
+    for n1 in range(source.n_factor.order):
+        n2 = f1.apply(n1)
+        for h1 in range(source.h_factor.order):
+            h2 = f2.apply(h1)
+            if target.action(h2, n2) != f1.apply(source.action(h1, n1)):
                 raise IncompatibleActionError((n1, h1))
-    return product_pair_iso(f1, f2, source, target)
+            mapping[source.pair_index(n1, h1)] = target.pair_index(n2, h2)
+    return iso_from_forward(make_hom(source.group, target.group, mapping))

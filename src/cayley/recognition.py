@@ -1,6 +1,8 @@
 """Internal product recognition: given subgroups satisfying the lattice
 hypotheses, produce the conjugation action, the external product, and an
-explicit isomorphism onto it.
+explicit isomorphism onto it. The action lands in the carrier of Aut(N),
+which the external product looks up again from the same promoted N
+(automorphism_group is cached on the group, so the search runs once).
 
 The factorization g = n * h is inverted by tabulating the products over
 N x H: injectivity of that map is exactly the trivial-meet hypothesis and
@@ -52,7 +54,7 @@ def _factor_witness(g: FiniteGroup, n: Subgroup, h: Subgroup) -> DecompositionWi
         for h_elem in promoted_h.embed
     ]
     phi = make_hom(promoted_h.group, aut.carrier, phi_map)
-    product = semidirect_product(promoted_n.group, promoted_h.group, phi, aut)
+    product = semidirect_product(promoted_n.group, promoted_h.group, phi)
     mapping = [-1] * g.order
     for ni, n_elem in enumerate(promoted_n.embed):
         for hi, h_elem in enumerate(promoted_h.embed):
@@ -111,7 +113,5 @@ def internal_direct(g: FiniteGroup, n: Subgroup, h: Subgroup) -> Iso:
     if not witness.phi.is_trivial():
         # Both factors normal with trivial meet force elementwise commuting.
         raise NotNormalError("N")
-    bridge = sdp_trivial_iso_direct(
-        witness.product.n_factor, witness.product.h_factor, witness.product.aut
-    )
+    bridge = sdp_trivial_iso_direct(witness.product.n_factor, witness.product.h_factor)
     return witness.iso.then(bridge)

@@ -120,7 +120,7 @@ def test_criterion_4_uniqueness_everywhere():
             for phi in homs_to_aut(cyclic_group(p), aut):
                 if not phi.is_trivial():
                     groups.append(
-                        semidirect_product(cyclic_group(q), cyclic_group(p), phi, aut).group
+                        semidirect_product(cyclic_group(q), cyclic_group(p), phi).group
                     )
         if p * q == 6:
             groups.append(symmetric_group(3))
@@ -174,7 +174,7 @@ def _seeded_products(count: int, seed: int = 20240817):
             auts[base] = automorphism_group(base)
         aut = auts[base]
         phi = rng.choice(homs_to_aut(acting, aut))
-        product = semidirect_product(base, acting, phi, aut)
+        product = semidirect_product(base, acting, phi)
         fixtures.append((base, acting, phi, product))
     return fixtures
 
@@ -192,8 +192,6 @@ def test_criterion_6_recognition_round_trip():
         bridge = sdp_congr(
             identity_iso(witness.product.n_factor, base),
             identity_iso(witness.product.h_factor, acting),
-            witness.phi,
-            phi,
             witness.product,
             product,
         )
@@ -228,7 +226,7 @@ def test_criterion_7_product_laws():
     alpha = iso_from_forward(make_hom(c7, c7, [3 * x % 7 for x in range(7)]))
     invert = iso_from_forward(make_hom(c3, c3, [0, 2, 1]))
     ident7, ident3 = identity_iso(c7), identity_iso(c3)
-    products = {phi.map: semidirect_product(c7, c3, phi, aut7) for phi in phis}
+    products = {phi.map: semidirect_product(c7, c3, phi) for phi in phis}
     # The two nontrivial actions are mutual squares, so inverting the acting
     # factor connects them; identity f's do not.
     fixture = [
@@ -248,7 +246,7 @@ def test_criterion_7_product_laws():
             for h1 in range(3)
         )
         try:
-            iso = sdp_congr(f1, f2, phi1, phi2, source, target)
+            iso = sdp_congr(f1, f2, source, target)
         except IncompatibleActionError as exc:
             n1, h1 = exc.pair
             assert not compatible
@@ -288,7 +286,7 @@ def _shape_corpus():
                         if not phi.is_trivial():
                             groups.append(
                                 semidirect_product(
-                                    cyclic_group(q), cyclic_group(p), phi, aut
+                                    cyclic_group(q), cyclic_group(p), phi
                                 ).group
                             )
     groups.append(symmetric_group(3))

@@ -113,7 +113,7 @@ def test_classify_order_21_both_actions():
     nontrivial = [h for h in homs if not h.is_trivial()]
     assert len(nontrivial) == 2
     for phi in nontrivial:
-        g = semidirect_product(cyclic_group(7), cyclic_group(3), phi, aut7).group
+        g = semidirect_product(cyclic_group(7), cyclic_group(3), phi).group
         r = classify(g)
         assert isinstance(r, SemidirectResult)
         assert (r.p, r.q, r.k) == (3, 7, 2)
@@ -147,8 +147,8 @@ def test_verify_uniqueness_order6(s3):
 def test_verify_uniqueness_order21_phi_independence():
     aut7 = automorphism_group(cyclic_group(7))
     nontrivial = [h for h in homs_to_aut(cyclic_group(3), aut7) if not h.is_trivial()]
-    g1 = semidirect_product(cyclic_group(7), cyclic_group(3), nontrivial[0], aut7).group
-    g2 = semidirect_product(cyclic_group(7), cyclic_group(3), nontrivial[1], aut7).group
+    g1 = semidirect_product(cyclic_group(7), cyclic_group(3), nontrivial[0]).group
+    g2 = semidirect_product(cyclic_group(7), cyclic_group(3), nontrivial[1]).group
     iso = verify_uniqueness(g1, g2)
     iso.validate()
     assert find_isomorphism(g1, g2) is not None

@@ -8,6 +8,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -353,3 +354,65 @@ def test_golden_stdout(capsys, monkeypatch, request, backend, argv):
     code, out, _ = run(capsys, list(argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+# Fixed relabelled tables built from formulas, not from the library's
+# constructors: C_n as (i + j) mod n, C_p x C_p and C_q x| C_p as pairs
+# a * p + b with (a1, b1)(a2, b2) = (a1 + k^b1 a2 mod q, b1 + b2 mod p).
+# Each is relabelled by rotating its nonzero labels, so no table is in
+# the canonical form.
+def _pair_table(q: int, p: int, k: int) -> np.ndarray:
+    a, b = np.divmod(np.arange(q * p), p)
+    twist = np.array([pow(k, int(e), q) for e in b])
+    return (a[:, None] + twist[:, None] * a[None, :]) % q * p + (b[:, None] + b[None, :]) % p
+
+
+def _cyclic_table(n: int) -> np.ndarray:
+    idx = np.arange(n)
+    return (idx[:, None] + idx[None, :]) % n
+
+
+def _golden_groups():
+    """(table, N members, H members) per group; recognize gets N and H."""
+    out = [(_cyclic_table(n), range(0, n, n // d), range(0, n, d)) for n, d in
+           [(10, 5), (15, 5), (35, 5)]]
+    for q, p, k in [(3, 3, 1), (5, 5, 1), (3, 2, 2), (7, 3, 2), (7, 3, 4), (11, 5, 3), (13, 3, 3)]:
+        out.append((_pair_table(q, p, k), range(0, q * p, p), range(p)))
+    # The join variant: H trivial, so N join H = N is not the whole group.
+    out.append((_pair_table(7, 3, 2), range(0, 21, 3), [0]))
+    return out
+
+
+def _relabel(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = len(table)
+    s = np.concatenate([[0], np.roll(np.arange(1, n), 1)])
+    out = np.empty_like(table)
+    out[np.ix_(s, s)] = s[table]
+    return out, s
+
+
+# sha256 of the concatenated stdout of each command over those groups.
+GOLDEN_PRODUCT_STDOUT_SHA256 = {
+    ("classify",): "6d25eb5c4c8adfbbafc4829a0cc8021ffaf440030602f890fd427e59599d58da",
+    ("classify", "--json"): "2cf507a2934db5b0b0b80f0d800d63d7ac17225092e9928c473be34f7a169500",
+    ("aut",): "fb6d32318983c9c5219e1a2b691a6e3bca2858d3b50ac88450fe3de02caa2759",
+    ("recognize", "--json"): "08c1fd7805698db48f28d7fa74764bec3f7db83d16fda17a3b0f960340614b3f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_PRODUCT_STDOUT_SHA256))
+def test_golden_product_stdout(capsys, tmp_path, command):
+    digest = hashlib.sha256()
+    for i, (table, n_members, h_members) in enumerate(_golden_groups()):
+        relabelled, s = _relabel(table)
+        path = tmp_path / f"g{i}.cayley"
+        path.write_text(f"{len(table)}\n" + "".join(
+            " ".join(map(str, row)) + "\n" for row in relabelled.tolist()))
+        argv = [command[0], str(path), *command[1:]]
+        if command[0] == "recognize":
+            argv += ["--n", ",".join(str(s[x]) for x in n_members),
+                     "--h", ",".join(str(s[x]) for x in h_members)]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == GOLDEN_PRODUCT_STDOUT_SHA256[command]

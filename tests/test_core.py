@@ -65,6 +65,25 @@ def test_out_of_range_entry():
         from_table(2, [[0, 1], [1, 2]])
 
 
+def test_table_entries_must_be_integers_below_the_cap():
+    # Floats, strings and bools are not element indices, and an entry past
+    # the cap is rejected before the int32 cast could wrap it onto 0.
+    for bad in (
+        [[0, 1], [1, 0.7]],
+        [[0, 1], [1, 0.0]],
+        [[0, 1], [1, "0"]],
+        [[False, True], [True, False]],
+        [[0, 1], [1, 2**33]],
+        [[0, 1], [1, 2**70]],
+        np.array([[0, 1], [1, 2**32]], dtype=np.int64),
+        np.array([[0, 1], [1, 2**32]], dtype=np.uint64),
+        np.array([[0, 1], [1, -(2**32)]], dtype=np.int64),
+    ):
+        with pytest.raises(NotClosedError):
+            from_table(2, bad)
+    assert from_table(2, np.array([[0, 1], [1, 0]], dtype=np.uint8)) == cyclic_group(2)
+
+
 def test_no_identity():
     with pytest.raises(NoIdentityError):
         from_table(2, [[1, 0], [0, 1]])

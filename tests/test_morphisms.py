@@ -14,6 +14,7 @@ from cayley.core import cyclic_group, from_table, symmetric_group
 from cayley.errors import (
     BudgetExceededError,
     IdentityNotPreservedError,
+    MismatchedParentError,
     NotBijectiveError,
     NotClosedError,
     NotLatinError,
@@ -47,6 +48,26 @@ from oracles import (
     small_group_corpus,
     totient,
 )
+
+
+def test_composition_checks_the_middle_group(s3, c6):
+    to_c6 = make_hom(s3, c6, [0] * 6)
+    with pytest.raises(MismatchedParentError):
+        to_c6.then(make_hom(s3, s3, range(6)))
+    c3 = cyclic_group(3)
+    with pytest.raises(MismatchedParentError):
+        identity_iso(c6).then(identity_iso(c3))
+    # Equal tables in distinct objects still compose.
+    assert identity_iso(c6).then(identity_iso(cyclic_group(6))).forward.map == tuple(range(6))
+
+
+def test_apply_is_range_checked(c6):
+    f = make_hom(c6, c6, [5 * x % 6 for x in range(6)])
+    for bad in (-1, 6):
+        for call in (lambda: f.apply(bad), lambda: iso_from_forward(f).apply(bad)):
+            with pytest.raises(IndexError, match=f"element {bad} out of range for order 6"):
+                call()
+    assert (f.apply(5), iso_from_forward(f).apply(5)) == (1, 1)
 
 
 def test_make_hom_parity():
@@ -236,6 +257,11 @@ def test_conj_normal_abelian_is_trivial(c6):
     assert conj_normal(c6, sub).is_trivial()
 
 
+def test_conj_normal_needs_a_subgroup_of_g(s3, c6):
+    with pytest.raises(MismatchedParentError):
+        conj_normal(c6, subgroup_of_order(s3, 3))
+
+
 def test_conj_normal_s3(s3):
     a3 = subgroup_of_order(s3, 3)
     conj = conj_normal(s3, a3)
@@ -260,7 +286,7 @@ def test_find_isomorphism_rejects_c4_klein(klein):
 def test_find_isomorphism_s3(s3):
     aut3 = automorphism_group(cyclic_group(3))
     inversion = homs_to_aut(cyclic_group(2), aut3)[1]
-    sdp = semidirect_product(cyclic_group(3), cyclic_group(2), inversion, aut3)
+    sdp = semidirect_product(cyclic_group(3), cyclic_group(2), inversion)
     iso = find_isomorphism(sdp.group, s3)
     assert iso is not None
     iso.validate()
@@ -294,7 +320,7 @@ def test_find_isomorphism_under_relabeling(perm_tail):
 def test_fingerprint_examples(s3, c6):
     aut3 = automorphism_group(cyclic_group(3))
     trivial_sdp = semidirect_product(
-        cyclic_group(3), cyclic_group(2), trivial_hom(cyclic_group(2), aut3.carrier), aut3
+        cyclic_group(3), cyclic_group(2), trivial_hom(cyclic_group(2), aut3.carrier)
     )
     assert fingerprint(c6) == fingerprint(trivial_sdp.group)
     assert fingerprint(cyclic_group(4)) != fingerprint(

@@ -2,8 +2,14 @@ from __future__ import annotations
 
 import pytest
 
+from cayley import morphisms
 from cayley.core import cyclic_group
-from cayley.errors import IncompatibleActionError, InvalidActionError, SizeCapError
+from cayley.errors import (
+    IncompatibleActionError,
+    InvalidActionError,
+    MismatchedParentError,
+    SizeCapError,
+)
 from cayley.morphisms import (
     automorphism_group,
     conj_normal,
@@ -15,6 +21,7 @@ from cayley.morphisms import (
     restrict,
 )
 from cayley.products import (
+    cyclic_power_semidirect,
     direct_product,
     sdp_congr,
     sdp_trivial_iso_direct,
@@ -29,7 +36,7 @@ def build_sdp(n, p_order, hom_index):
     acting = cyclic_group(p_order)
     aut = automorphism_group(base)
     phi = homs_to_aut(acting, aut)[hom_index]
-    return semidirect_product(base, acting, phi, aut), phi
+    return semidirect_product(base, acting, phi), phi
 
 
 def test_direct_product_examples(klein):
@@ -83,9 +90,9 @@ def test_semidirect_rejects_bad_action():
     aut3 = automorphism_group(c3)
     phi = homs_to_aut(c2, aut3)[1]
     with pytest.raises(InvalidActionError):
-        semidirect_product(c5, c2, phi, automorphism_group(c5))
+        semidirect_product(c5, c2, phi)
     with pytest.raises(InvalidActionError):
-        semidirect_product(c3, c5, phi, aut3)
+        semidirect_product(c3, c5, phi)
 
 
 def test_pair_indexing():
@@ -95,6 +102,40 @@ def test_pair_indexing():
             idx = sdp.pair_index(n, h)
             assert sdp.unpair(idx) == (n, h)
     assert sdp.pair_index(0, 0) == 0
+
+
+def test_product_indices_are_range_checked():
+    dp = direct_product(cyclic_group(2), cyclic_group(3))
+    sdp, _ = build_sdp(7, 3, 1)
+    for call, bad, order in (
+        (lambda: dp.action(-1, 0), -1, 3),
+        (lambda: dp.action(0, 2), 2, 2),
+        (lambda: sdp.action(-1, 1), -1, 3),
+        (lambda: sdp.action(1, 7), 7, 7),
+        (lambda: dp.pair_index(-1, 0), -1, 2),
+        (lambda: dp.pair_index(2, 0), 2, 2),
+        (lambda: dp.pair_index(0, -1), -1, 3),
+        (lambda: dp.pair_index(0, 3), 3, 3),
+        (lambda: dp.unpair(-1), -1, 6),
+        (lambda: dp.unpair(6), 6, 6),
+    ):
+        with pytest.raises(IndexError, match=f"element {bad} out of range for order {order}"):
+            call()
+    assert (dp.pair_index(1, 2), dp.unpair(5)) == (5, (1, 2))
+
+
+def test_cyclic_power_semidirect_searches_aut_once(monkeypatch):
+    calls = []
+    search = morphisms._image_search
+
+    def counted(g1, g2, gens, *, find_all):
+        calls.append(find_all)
+        return search(g1, g2, gens, find_all=find_all)
+
+    monkeypatch.setattr(morphisms, "_image_search", counted)
+    sdp = cyclic_power_semidirect(7, 3, 2)
+    assert calls == [True]
+    assert automorphism_group(sdp.n_factor) is sdp.aut
 
 
 def test_sdp_trivial_iso_direct():
@@ -109,7 +150,7 @@ def test_sdp_congr_identity():
     sdp, phi = build_sdp(7, 3, 1)
     ident_n = identity_iso(cyclic_group(7))
     ident_h = identity_iso(cyclic_group(3))
-    iso = sdp_congr(ident_n, ident_h, phi, phi, sdp, sdp)
+    iso = sdp_congr(ident_n, ident_h, sdp, sdp)
     assert iso.forward.map == tuple(range(21))
 
 
@@ -120,7 +161,7 @@ def test_sdp_congr_twisted_by_automorphism():
     c7 = cyclic_group(7)
     alpha_map = [3 * x % 7 for x in range(7)]
     alpha = iso_from_forward(make_hom(c7, c7, alpha_map))
-    iso = sdp_congr(alpha, identity_iso(cyclic_group(3)), phi, phi, sdp, sdp)
+    iso = sdp_congr(alpha, identity_iso(cyclic_group(3)), sdp, sdp)
     iso.validate()
     assert iso.forward.map != tuple(range(21))
 
@@ -132,7 +173,7 @@ def test_sdp_congr_connects_different_actions():
     assert phi1.map != phi2.map
     c3 = cyclic_group(3)
     invert = iso_from_forward(make_hom(c3, c3, [0, 2, 1]))
-    iso = sdp_congr(identity_iso(cyclic_group(7)), invert, phi1, phi2, sdp1, sdp2)
+    iso = sdp_congr(identity_iso(cyclic_group(7)), invert, sdp1, sdp2)
     iso.validate()
 
 
@@ -142,9 +183,20 @@ def test_sdp_congr_rejects_with_witness():
     ident7 = identity_iso(cyclic_group(7))
     ident3 = identity_iso(cyclic_group(3))
     with pytest.raises(IncompatibleActionError) as excinfo:
-        sdp_congr(ident7, ident3, phi1, phi2, sdp1, sdp2)
+        sdp_congr(ident7, ident3, sdp1, sdp2)
     n1, h1 = excinfo.value.pair
     assert sdp2.action(h1, n1) != sdp1.action(h1, n1)
+
+
+def test_sdp_congr_needs_the_products_factors():
+    sdp, _ = build_sdp(7, 3, 1)
+    ident7, ident3 = identity_iso(cyclic_group(7)), identity_iso(cyclic_group(3))
+    with pytest.raises(MismatchedParentError):
+        sdp_congr(ident3, ident7, sdp, sdp)
+    dp = direct_product(cyclic_group(7), cyclic_group(3))
+    with pytest.raises(IncompatibleActionError):
+        sdp_congr(ident7, ident3, sdp, dp)
+    assert sdp_congr(ident7, ident3, dp, dp).forward.map == tuple(range(21))
 
 
 def test_conj_normal_recovers_action():
@@ -173,7 +225,7 @@ def test_semidirect_of_nonabelian_base(s3):
     c2 = cyclic_group(2)
     order2 = next(i for i in range(1, 6) if aut.carrier.element_order(i) == 2)
     phi = make_hom(c2, aut.carrier, [0, order2])
-    sdp = semidirect_product(s3, c2, phi, aut)
+    sdp = semidirect_product(s3, c2, phi)
     assert sdp.group.order == 12
     sdp.group.validate()
     assert is_normal(sdp.canonical_n)
