@@ -254,4 +254,7 @@ def enumerate_group_tables(n: int) -> tuple[list[tuple[int, ...]], int]:
     if not ok or not propagate(0):
         raise AssertionError("canonical prefix is inconsistent")
     search(0)
+    # search refers to itself; breaking that cycle frees the search state
+    # (every leaf table, the trail) now, not at the next full collection.
+    del search
     return leaves, state["nodes"]

@@ -4,9 +4,14 @@ group-isomorphism decision procedure.
 Isomorphisms are found by generator-image backtracking: a greedy
 irredundant generating sequence of the source (highest element order
 first, each generator outside the subgroup of the earlier ones) is mapped
-onto order-matching candidates in the target, with consistency propagated
-through closure. Fingerprints give sound rejection only; equality of
-fingerprints never concludes isomorphism.
+onto candidates with the same element stats (order, class size, order of
+the square) in the target. Each depth d of the search has a plan, built
+once per search from the source table: the products x * gens[j] that
+<gens[:d+1]> adds to <gens[:d]>. A node extends its parent's partial map
+along its plan only, so each product is checked once per branch, and
+every newly mapped element must be unused and match its preimage's
+stats. Fingerprints give sound rejection only; equality of fingerprints
+never concludes isomorphism.
 
 The automorphism group is materialised as a carrier FiniteGroup whose
 element i is the permutation tuple perms[i]. Each automorphism is encoded
@@ -220,46 +225,27 @@ def generating_sequence(g: FiniteGroup) -> list[int]:
     return greedy_generators(g.table, by_order.tolist())
 
 
-def _spread(gens: list[int], images: list[int], columns1: list, columns2: list):
-    """Propagate generator images through closure; columns1[i] and columns2[i]
-    are the source column of gens[i] and the target column of images[i].
-    Returns the partial map (length-n list, -1 outside the closure of the
-    assigned generators) or None on conflict."""
-    n = len(columns1[0])
-    m = [-1] * n
-    used = [False] * n
-    m[0] = 0
-    used[0] = True
-    for g, img in zip(gens, images):
-        if m[g] == -1:
-            if used[img]:
-                return None
-            m[g] = img
-            used[img] = True
-        elif m[g] != img:
-            return None
-    frontier = [0]
-    queued = [False] * n
-    queued[0] = True
-    pos = 0
-    while pos < len(frontier):
-        x = frontier[pos]
-        pos += 1
-        fx = m[x]
-        for c1, c2 in zip(columns1, columns2):
-            y = c1[x]
-            w = c2[fx]
-            if m[y] == -1:
-                if used[w]:
-                    return None
-                m[y] = w
-                used[w] = True
-            elif m[y] != w:
-                return None
-            if not queued[y]:
-                queued[y] = True
-                frontier.append(y)
-    return m
+def _plans(table: np.ndarray, gens: list[int], colours: list[int]) -> list[list[tuple]]:
+    """Per depth d, the products (x, j, y = x * gens[j], c) that extend a
+    map on <gens[:d]> to <gens[:d+1]>, in BFS order from 0: every x of
+    <gens[:d]> times gens[d], then every newly reached element times each
+    of gens[:d+1]. c is colours[y] the first time y is reached, else -1.
+    Over all depths each product of an element by a generator appears once."""
+    columns = table[:, gens].T.tolist()
+    reached = [True] + [False] * (table.shape[0] - 1)
+    members = [0]
+    plans = []
+    for d in range(len(gens)):
+        plan, old = [], len(members)
+        for pos, x in enumerate(members):
+            for j in (d,) if pos < old else range(d + 1):
+                y = columns[j][x]
+                plan.append((x, j, y, -1 if reached[y] else colours[y]))
+                if not reached[y]:
+                    reached[y] = True
+                    members.append(y)
+        plans.append(plan)
+    return plans
 
 
 def _image_search(
@@ -270,47 +256,70 @@ def _image_search(
     find_all: bool,
 ) -> list[tuple[int, ...]]:
     """All (or the first) images of the generating sequence gens of g1 that
-    extend to isomorphisms; all of them at most AUT_CARRIER_LIMIT."""
+    extend to isomorphisms; all of them at most AUT_CARRIER_LIMIT.
+
+    A node at depth d holds the map on <gens[:d+1]> fixed by the images
+    tried so far. It copies its parent's partial map and walks only the
+    products of plan d: a newly reached y takes w = m[x] * image(gens[j])
+    and is rejected unless w is unused and has y's element stats (an
+    isomorphism preserves them), and a y mapped before must get w again.
+    So every product is checked once per branch, and a full-depth map is
+    an injective homomorphism, i.e. an isomorphism."""
     n = g1.order
     stats1 = _element_stats(g1)
     stats2 = _element_stats(g2) if g2 is not g1 else stats1
     if sorted(stats1) != sorted(stats2):
         return []
+    if n == 1:
+        return [(0,)]
     candidates = [
         [y for y in range(n) if stats2[y] == stats1[g]] for g in gens
     ]
-    source_columns = g1.table[:, gens].T.tolist()
+    # Colour ids of the element stats. free[w] is w's colour until w is
+    # used, then -1, so one comparison checks injectivity and stats.
+    colour = {s: c for c, s in enumerate(set(stats1))}
+    plans = _plans(g1.table, gens, [colour[s] for s in stats1])
+    free = [-1] + [colour[s] for s in stats2[1:]]
     target_columns: dict[int, list[int]] = {}
     found: list[tuple[int, ...]] = []
     nodes = 0
-
-    def rec(depth: int, images: list[int], columns: list[list[int]]) -> bool:
-        nonlocal nodes
-        for img in candidates[depth]:
+    # Depth-first: stack[d] holds the candidates left at depth d and the
+    # partial map, free colours and target columns fixed above them.
+    stack = [(iter(candidates[0]), [0] + [-1] * (n - 1), free, [])]
+    while stack:
+        depth = len(stack) - 1
+        todo, parent_map, parent_free, parent_columns = stack[-1]
+        for img in todo:
             nodes += 1
             if nodes > SEARCH_NODE_LIMIT:
                 raise BudgetExceededError("isomorphism search node budget exceeded")
             if img not in target_columns:
                 target_columns[img] = g2.table[:, img].tolist()
-            imgs, cols = images + [img], columns + [target_columns[img]]
-            m = _spread(gens[: depth + 1], imgs, source_columns[: depth + 1], cols)
-            if m is None:
-                continue
-            if depth + 1 == len(gens):
+            columns = parent_columns + [target_columns[img]]
+            m, free = parent_map[:], parent_free[:]
+            for x, j, y, c in plans[depth]:
+                w = columns[j][m[x]]
+                if c < 0:
+                    if m[y] != w:
+                        break
+                elif free[w] != c:
+                    break
+                else:
+                    m[y] = w
+                    free[w] = -1
+            else:
+                if depth + 1 < len(gens):
+                    stack.append((iter(candidates[depth + 1]), m, free, columns))
+                    break
                 found.append(tuple(m))
                 if not find_all:
-                    return True
+                    return found
                 if len(found) > AUT_CARRIER_LIMIT:
                     raise BudgetExceededError(
                         f"more than {AUT_CARRIER_LIMIT} automorphisms; raise the carrier limit"
                     )
-            elif rec(depth + 1, imgs, cols):
-                return True
-        return False
-
-    if n == 1:
-        return [(0,)]
-    rec(0, [], [])
+        else:
+            stack.pop()
     return found
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import hashlib
 import math
 import os
 import tracemalloc
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayley import morphisms
+from cayley import _fillcore, morphisms
 from cayley.core import cyclic_group, from_table, symmetric_group
 from cayley.errors import (
     BudgetExceededError,
@@ -468,3 +470,93 @@ def test_size_cap_elementary_abelian_walks_hold_no_table_copy(k):
     idx = np.arange(1 << k, dtype=np.int32)
     g = from_table(1 << k, idx[:, None] ^ idx[None, :])
     _check_walks_hold_no_table_copy(g, (1,) + (2,) * (g.order - 1))
+
+
+# sha256 of the first isomorphism found and of the automorphism lists.
+# The candidate order and the depth-first order of the search fix both, and
+# CLI output (witness maps, Aut listings) depends on them, so pruning the
+# search may make it faster but must not change them.
+FIND_ISOMORPHISM_DIGEST = "01ae2b1458a11baa82a3ac42e174aa93aa2a351c37914240d75e582d6fe23716"
+AUTOMORPHISM_PERMS_DIGEST = "ec05e3995aab8c89cdee2c24c45e2c74453bfe97aa7f9d4ae99c9454b3fa1252"
+
+
+def _order16_classes_times(m):
+    from oracles import cached_enumeration
+
+    reps = list(cached_enumeration(16).representatives)
+    return reps if m == 1 else [direct_product(g, cyclic_group(m)).group for g in reps]
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def test_search_output_is_pinned():
+    corpus = _order16_classes_times(1) + _order16_classes_times(3)
+    maps = [find_isomorphism(g, _relabelled(g, seed)).forward.map for seed, g in enumerate(corpus)]
+    assert _digest(maps) == FIND_ISOMORPHISM_DIGEST
+    groups = [
+        cyclic_group(21),
+        cyclic_power_semidirect(7, 3, 2).group,
+        direct_product(cyclic_group(3), cyclic_group(3)).group,
+        symmetric_group(3),
+    ]
+    perms = [automorphism_group(_relabelled(g, 7)).perms for g in groups]
+    assert _digest(perms) == AUTOMORPHISM_PERMS_DIGEST
+
+
+def _stats_colliding_pairs(groups):
+    """Pairs of distinct classes whose sorted element stats agree, so the
+    search rejects them only after trying every branch."""
+    stats = [sorted(morphisms._element_stats(g)) for g in groups]
+    return [
+        (groups[i], groups[j])
+        for i in range(len(groups))
+        for j in range(i + 1, len(groups))
+        if stats[i] == stats[j]
+    ]
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_exhaustive_negatives_and_relabelled_positives(m):
+    # Distinct order-16 classes stay distinct after a direct factor C_m
+    # (Krull-Schmidt), so every stats-colliding pair is non-isomorphic.
+    classes = _order16_classes_times(m)
+    pairs = _stats_colliding_pairs(classes)
+    assert pairs
+    for seed, (a, b) in enumerate(pairs):
+        a, b = _relabelled(a, 2 * seed), _relabelled(b, 2 * seed + 1)
+        assert find_isomorphism(a, b) is None
+        assert find_isomorphism(b, a) is None
+    for seed, g in enumerate(classes):
+        find_isomorphism(g, _relabelled(g, 100 + seed)).validate()
+
+
+def test_search_node_budget(monkeypatch):
+    a, b = _stats_colliding_pairs(_order16_classes_times(1))[0]
+    assert find_isomorphism(a, b) is None
+    monkeypatch.setattr(morphisms, "SEARCH_NODE_LIMIT", 100)
+    with pytest.raises(BudgetExceededError, match="^isomorphism search node budget exceeded$"):
+        find_isomorphism(a, b)
+
+
+def test_searches_leave_no_reference_cycles():
+    # The kernel and the isomorphism search free their state when they
+    # return, not at some later full garbage collection, so long runs keep
+    # a flat peak memory.
+    a, b = _stats_colliding_pairs(_order16_classes_times(1))[0]
+    h = _relabelled(a, 3)
+    calls = [
+        lambda: _fillcore.enumerate_group_tables(8),
+        lambda: find_isomorphism(a, b),
+        lambda: find_isomorphism(a, h),
+    ]
+    for call in calls:
+        call()  # caches the fingerprints and element stats first
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
