@@ -1,10 +1,14 @@
 /* Compiled kernel for the exhaustive Cayley-table search.
 
-   Same algorithm and structure as the pure-Python kernel in _fillcore.py
-   (see its module docstring for the search and the canonical form); the
-   two must return identical tables in identical order and the same node
-   count, which the backend-parity test checks. Row and column exclusion
-   sets are uint64_t bitmasks, which limits the order to 64.
+   The contract with the pure-Python kernel in _fillcore.py (see its
+   module docstring for the search, the canonical form and why the
+   propagation order does not matter): the same four associativity rules
+   and Latin exclusion, so the same closure after every decision; the
+   same branching; and so the same tables in the same order with the
+   same node count, which the backend-parity test checks. How each side
+   stores the table and scans the rules is its own: here the table is an
+   int16 array with a per-value list of cells, and row and column
+   exclusion sets are uint64_t bitmasks, which limits the order to 64.
 
    Built by setup.py as the optional module cayley._fillcore_c. */
 

@@ -15,15 +15,32 @@ as a fresh product value. Every isomorphism class is reached this way, once
 per generating sequence; surviving duplicates are removed afterwards by the
 isomorphism-search deduplication pass.
 
+Propagation computes the closure of the partial table under four
+associativity rules, one for each role a newly set cell a*b = v can play
+in a triple. Every cell it sets goes on the trail and is processed after
+it is set, and processing checks every triple the cell takes part in
+against the cells known at that moment. A check that misses a cell set
+later is therefore repeated when that cell is processed, so whether
+propagation fails, and the fixpoint it reaches when it does not, do not
+depend on the order of the checks or on how the table is stored. Only the
+closure decides the branching, the leaves, their order and the node count.
+
 This is the reference kernel. The C extension _fillcore_c, built from
-_fillcore.c with the same functions, implements the identical algorithm
-and must return identical tables in the same order with the same node
-count; the backend-parity test compiles it and compares the two.
+_fillcore.c with the same functions, applies the same rules to reach the
+same closure with the same branching, and so must return identical
+tables in the same order with the same node count; the backend-parity
+test compiles it and compares the two.
 """
 
 from __future__ import annotations
 
 MAX_KERNEL_ORDER = 64  # bitmask width in the compiled kernel
+
+# The partial table is stored as byte rows of stride 256, so that a row
+# is a bytes.translate table; 255 marks an unknown entry and maps to
+# itself, which needs every label below 255.
+_STRIDE = 256
+_UNKNOWN = 255
 
 
 def smallest_prime_factor(n: int) -> int:
@@ -47,117 +64,120 @@ def enumerate_group_tables(n: int) -> tuple[list[tuple[int, ...]], int]:
     if n == 1:
         return [(0,)], 1
 
-    size = n * n
-    table = [-1] * size
-    rowmask = [0] * n
-    colmask = [0] * n
-    fact: list[list[int]] = [[] for _ in range(n)]
-    trail: list[int] = []
+    W, U = _STRIDE, _UNKNOWN
+    # The partial table x*y = v four times over, so that each rule reads
+    # the entries it compares from contiguous rows: rows[x*W + y] = v,
+    # cols[y*W + x] = v, and the quotients left[v*W + x] = y and
+    # right[v*W + y] = x. v is already in row x iff left[v*W + x] is
+    # known, and in column y iff right[v*W + y] is.
+    rows = bytearray([U]) * (n * W)
+    cols = bytearray([U]) * (n * W)
+    left = bytearray([U]) * (n * W)
+    right = bytearray([U]) * (n * W)
+    # Row x and column y as translate tables, without a copy per use.
+    row = [memoryview(rows)[x * W : x * W + W] for x in range(n)]
+    col = [memoryview(cols)[y * W : y * W + W] for y in range(n)]
+    cells = [(a, b) for a in range(n) for b in range(n)]
+    trail: list[tuple[int, int]] = []
     gens: list[int] = []
     scan_u: list[int] = []
     scan_g: list[int] = []
     leaves: list[tuple[int, ...]] = []
-    state = {"nlab": 0, "nodes": 0}
+    nlab = 0
+    nodes = 0
 
     def set_cell(a: int, b: int, v: int) -> bool:
-        idx = a * n + b
-        cur = table[idx]
+        cur = rows[a * W + b]
         if cur == v:
             return True
-        if cur != -1:
+        if cur != U or left[v * W + a] != U or right[v * W + b] != U:
             return False
-        bit = 1 << v
-        if rowmask[a] & bit or colmask[b] & bit:
-            return False
-        table[idx] = v
-        rowmask[a] |= bit
-        colmask[b] |= bit
-        fact[v].append(idx)
-        trail.append(idx)
+        rows[a * W + b] = v
+        cols[b * W + a] = v
+        left[v * W + a] = b
+        right[v * W + b] = a
+        trail.append(cells[a * n + b])
         return True
 
     def unwind(mark: int) -> None:
         while len(trail) > mark:
-            idx = trail.pop()
-            v = table[idx]
-            table[idx] = -1
-            a, b = divmod(idx, n)
-            bit = 1 << v
-            rowmask[a] ^= bit
-            colmask[b] ^= bit
-            fact[v].pop()
+            a, b = trail.pop()
+            v = rows[a * W + b]
+            rows[a * W + b] = U
+            cols[b * W + a] = U
+            left[v * W + a] = U
+            right[v * W + b] = U
 
     def propagate(start: int) -> bool:
-        """Close the trail suffix under the associativity rules."""
+        """Close the trail suffix under the associativity rules.
+
+        Each rule compares a slice of v's entries (have) with the entries
+        the cell a*b = v forces there (want), taken when the cell's
+        processing starts; only labels where the two differ need work.
+        A stale slice can only miss a cell set later, which is still
+        ahead on the trail, and set_cell re-reads the live table, so a
+        conflict is never masked (see the module docstring).
+        """
+        labels = range(nlab)
         i = start
-        nlab = state["nlab"]
         while i < len(trail):
-            idx = trail[i]
+            a, b = trail[i]
             i += 1
-            a, b = divmod(idx, n)
-            v = table[idx]
-            rowa = a * n
-            rowb = b * n
-            rowv = v * n
-            # (a*b)*k = a*(b*k) for known b*k.
-            for k in range(nlab):
-                z = table[rowb + k]
-                if z == -1:
-                    continue
-                x1 = table[rowv + k]
-                x2 = table[rowa + z]
-                if x1 == -1:
-                    if x2 != -1 and not set_cell(v, k, x2):
+            aw, bw = a * W, b * W
+            v = rows[aw + b]
+            vw = v * W
+            # (a*b)*k = a*(b*k): row v is row b mapped through row a.
+            have = rows[vw : vw + nlab]
+            want = rows[bw : bw + nlab].translate(row[a])
+            if have != want:
+                for k, x, y in zip(labels, have, want):
+                    if x == y:
+                        continue
+                    if x == U:
+                        if not set_cell(v, k, y):
+                            return False
+                    elif y != U:
                         return False
-                elif x2 == -1:
-                    if not set_cell(a, z, x1):
+                    else:
+                        z = rows[bw + k]
+                        if z != U and not set_cell(a, z, x):
+                            return False
+            # (i*a)*b = i*(a*b): column v is column a mapped through column b.
+            have = cols[vw : vw + nlab]
+            want = cols[aw : aw + nlab].translate(col[b])
+            if have != want:
+                for i2, x, y in zip(labels, have, want):
+                    if x == y:
+                        continue
+                    if x == U:
+                        if not set_cell(i2, v, y):
+                            return False
+                    elif y != U:
                         return False
-                elif x1 != x2:
-                    return False
-            # (i2*a)*b = i2*(a*b) for known i2*a.
-            for i2 in range(nlab):
-                y = table[i2 * n + a]
-                if y == -1:
-                    continue
-                x1 = table[y * n + b]
-                x2 = table[i2 * n + v]
-                if x1 == -1:
-                    if x2 != -1 and not set_cell(y, b, x2):
+                    else:
+                        w = cols[aw + i2]
+                        if w != U and not set_cell(w, b, x):
+                            return False
+            # This cell as outer product: i*j = a, so a*b = i*(j*b).
+            have = left[vw : vw + nlab]
+            want = left[aw : aw + nlab].translate(col[b])
+            if have != want:
+                for i2, x, y in zip(labels, have, want):
+                    if x != y and y != U and not set_cell(i2, y, v):
                         return False
-                elif x2 == -1:
-                    if not set_cell(i2, v, x1):
+            # This cell as inner product: j*k = b, so a*b = (a*j)*k.
+            have = right[vw : vw + nlab]
+            want = right[bw : bw + nlab].translate(row[a])
+            if have != want:
+                for k2, x, y in zip(labels, have, want):
+                    if x != y and y != U and not set_cell(y, k2, v):
                         return False
-                elif x1 != x2:
-                    return False
-            # This cell as outer product: i2*j2 = a, so a*b = i2*(j2*b).
-            for packed in fact[a]:
-                i2, j2 = divmod(packed, n)
-                z = table[j2 * n + b]
-                if z == -1:
-                    continue
-                x1 = table[i2 * n + z]
-                if x1 == -1:
-                    if not set_cell(i2, z, v):
-                        return False
-                elif x1 != v:
-                    return False
-            # This cell as inner product: j2*k2 = b, so a*b = (a*j2)*k2.
-            for packed in fact[b]:
-                j2, k2 = divmod(packed, n)
-                w = table[rowa + j2]
-                if w == -1:
-                    continue
-                x1 = table[w * n + k2]
-                if x1 == -1:
-                    if not set_cell(w, k2, v):
-                        return False
-                elif x1 != v:
-                    return False
         return True
 
     def create_label() -> int:
-        c = state["nlab"]
-        state["nlab"] = c + 1
+        nonlocal nlab
+        c = nlab
+        nlab = c + 1
         set_cell(0, c, c)
         set_cell(c, 0, c)
         for g in gens:
@@ -168,59 +188,54 @@ def enumerate_group_tables(n: int) -> tuple[list[tuple[int, ...]], int]:
     def add_generator() -> None:
         c = create_label()
         gens.append(c)
-        for u in range(state["nlab"]):
+        for u in range(nlab):
             scan_u.append(u)
             scan_g.append(c)
 
     def search(qi: int) -> None:
+        nonlocal nlab, nodes
         while qi < len(scan_u):
             g = scan_g[qi]
             u = scan_u[qi]
-            if table[g * n + u] != -1:
+            if rows[g * W + u] != U:
                 qi += 1
                 continue
-            nlab = state["nlab"]
-            forbidden = rowmask[g] | colmask[u]
-            for v in range(nlab):
-                if forbidden >> v & 1:
+            labeled = nlab
+            for v in range(labeled):
+                if left[v * W + g] != U or right[v * W + u] != U:
                     continue
-                state["nodes"] += 1
+                nodes += 1
                 mark = len(trail)
                 if set_cell(g, u, v) and propagate(mark):
                     search(qi + 1)
                 unwind(mark)
-            if nlab < n:
-                state["nodes"] += 1
+            if labeled < n:
+                nodes += 1
                 mark = len(trail)
                 glen, slen = len(gens), len(scan_u)
                 c = create_label()
                 if set_cell(g, u, c) and propagate(mark):
                     search(qi + 1)
                 unwind(mark)
-                state["nlab"] = nlab
+                nlab = labeled
                 del gens[glen:]
                 del scan_u[slen:]
                 del scan_g[slen:]
             return
-        nlab = state["nlab"]
-        if nlab == n:
+        labeled = nlab
+        if labeled == n:
             # Propagation provably completes every row once the generator
             # rows close; the hole branch below is a backstop so that
             # search completeness never rests on propagation strength.
-            hole = -1
-            for idx in range(size):
-                if table[idx] == -1:
-                    hole = idx
-                    break
-            if hole == -1:
+            table = b"".join(row[x][:n] for x in range(n))
+            if U not in table:
                 leaves.append(tuple(table))
                 return
-            a, b = divmod(hole, n)
-            forbidden = rowmask[a] | colmask[b]
+            a, b = cells[table.index(U)]
             for v in range(n):
-                if forbidden >> v & 1:
+                if left[v * W + a] != U or right[v * W + b] != U:
                     continue
-                state["nodes"] += 1
+                nodes += 1
                 mark = len(trail)
                 if set_cell(a, b, v) and propagate(mark):
                     search(qi)
@@ -228,7 +243,7 @@ def enumerate_group_tables(n: int) -> tuple[list[tuple[int, ...]], int]:
             return
         # The labeled set is a complete proper subgroup: its order must
         # divide n and the next closure at least doubles it.
-        if n % nlab != 0 or nlab * 2 > n:
+        if n % labeled != 0 or labeled * 2 > n:
             return
         mark = len(trail)
         glen, slen = len(gens), len(scan_u)
@@ -236,7 +251,7 @@ def enumerate_group_tables(n: int) -> tuple[list[tuple[int, ...]], int]:
         if propagate(mark):
             search(qi)
         unwind(mark)
-        state["nlab"] = nlab
+        nlab = labeled
         del gens[glen:]
         del scan_u[slen:]
         del scan_g[slen:]
@@ -257,4 +272,4 @@ def enumerate_group_tables(n: int) -> tuple[list[tuple[int, ...]], int]:
     # search refers to itself; breaking that cycle frees the search state
     # (every leaf table, the trail) now, not at the next full collection.
     del search
-    return leaves, state["nodes"]
+    return leaves, nodes

@@ -23,7 +23,7 @@ from .classification import (
 )
 from .core import FiniteGroup, cyclic_group
 from .enumeration import enumerate_groups
-from .errors import GroupError, InvalidActionError
+from .errors import BudgetExceededError, GroupError, InvalidActionError
 from .fileformat import read_group, write_group, write_group_text
 from .morphisms import (
     automorphism_group,
@@ -54,15 +54,16 @@ class _InputError(Exception):
     """Wraps any failure while reading an input group file (exit code 3)."""
 
 
-class _OutputError(Exception):
-    """Wraps any failure while writing an output file (exit code 2)."""
+class _UsageError(Exception):
+    """An argument the command cannot use, or an output file or directory
+    that cannot be written (exit code 2)."""
 
 
 def _write(group: FiniteGroup, path: str | Path, comments: list[str]) -> None:
     try:
         write_group(group, path, comments)
     except OSError as exc:
-        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load(path: str) -> FiniteGroup:
@@ -191,7 +192,7 @@ def _cmd_enumerate(args) -> int:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise _OutputError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
+            raise _UsageError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
         for idx, rep in enumerate(report.representatives):
             _write(
                 rep,
@@ -218,7 +219,16 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+# 2^2: no smaller order has the shape p^2 or p*q that verify checks.
+_SMALLEST_VERIFIED_ORDER = 4
+
+
 def _cmd_verify(args) -> int:
+    if args.max < _SMALLEST_VERIFIED_ORDER:
+        raise _UsageError(
+            f"--max {args.max} checks no order; the smallest order of shape "
+            f"p^2 or p*q is {_SMALLEST_VERIFIED_ORDER}"
+        )
     report = verify_theorem(args.max, budget=args.budget)
     if args.json:
         _emit_json(report.to_json_dict())
@@ -292,9 +302,10 @@ _HANDLERS = {
     "verify": _cmd_verify,
 }
 
-# Errors from loading an input file are format errors (exit 3), errors from
-# writing an output file are usage errors (exit 2), and errors from the
-# requested computation are negative answers (exit 1).
+# Errors from loading an input file are format errors (exit 3), unusable
+# arguments and errors from writing an output file are usage errors
+# (exit 2), and errors from the requested computation are negative answers
+# (exit 1).
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -306,12 +317,15 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
-    except _OutputError as exc:
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GroupError as exc:
         name = type(exc).__name__.removesuffix("Error")
-        print(f"error: {name}: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, BudgetExceededError) and exc.needed is not None:
+            message = f"{exc.reason}; pass --budget {exc.needed}"
+        print(f"error: {name}: {message}", file=sys.stderr)
         return 1
 
 

@@ -65,9 +65,7 @@ def enumerate_groups(n: int, budget: int | None = None) -> EnumerationReport:
     if n < 1:
         raise BudgetExceededError("order must be at least 1")
     if n > budget:
-        raise BudgetExceededError(
-            f"order {n} exceeds the enumeration budget {budget}; pass budget={n}"
-        )
+        raise BudgetExceededError(f"order {n} exceeds the enumeration budget {budget}", needed=n)
     if n > HARD_ORDER_LIMIT:
         raise BudgetExceededError(f"kernel supports orders up to {HARD_ORDER_LIMIT}")
     tables, nodes = enumerate_tables(n)

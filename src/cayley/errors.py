@@ -91,7 +91,14 @@ class NotCyclicSourceError(GroupError):
 
 
 class BudgetExceededError(GroupError):
-    """A search exceeded its configured budget."""
+    """A search exceeded its configured budget. When a larger budget
+    argument would allow the request, `needed` is that budget and the
+    message ends with a hint to pass it; `reason` is the message without."""
+
+    def __init__(self, reason: str, needed: int | None = None):
+        super().__init__(reason if needed is None else f"{reason}; pass budget={needed}")
+        self.reason = reason
+        self.needed = needed
 
 
 class NotNormalError(GroupError):

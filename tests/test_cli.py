@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from cayley import _fillcore, enumeration
 from cayley.cli import main
 from cayley.core import cyclic_group, symmetric_group
-from cayley.errors import SizeCapError
+from cayley.errors import BudgetExceededError, SizeCapError
 from cayley.fileformat import read_group, write_group
 
 
@@ -264,6 +264,31 @@ def test_verify(capsys):
     code, out, _ = run(capsys, ["verify", "--max", "10", "--json"])
     payload = json.loads(out)
     assert payload["all_pass"] is True
+
+
+def test_budget_hint_names_the_cli_option(capsys):
+    code, out, err = run(capsys, ["enumerate", "17"])
+    assert (code, out) == (1, "")
+    assert err == "error: BudgetExceeded: order 17 exceeds the enumeration budget 16; pass --budget 17\n"
+    code, _, err = run(capsys, ["verify", "--max", "10", "--budget", "8"])
+    assert code == 1
+    assert err == "error: BudgetExceeded: order 9 exceeds the enumeration budget 8; pass --budget 9\n"
+    # The library names its own keyword.
+    with pytest.raises(BudgetExceededError, match=r"budget 16; pass budget=17$"):
+        enumeration.enumerate_groups(17)
+
+
+@pytest.mark.parametrize("max_order", ["3", "1", "-5"])
+def test_verify_below_the_smallest_checked_order_is_a_usage_error(capsys, max_order):
+    code, out, err = run(capsys, ["verify", "--max", max_order])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: --max {max_order} checks no order; "
+        "the smallest order of shape p^2 or p*q is 4\n"
+    )
+    code, out, _ = run(capsys, ["verify", "--max", "4"])
+    assert code == 0
+    assert "all orders pass: yes" in out
 
 
 def test_usage_error_exit_code():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 
 import pytest
@@ -10,7 +11,7 @@ from cayley.enumeration import count_groups, enumerate_groups, enumerate_tables
 from cayley.errors import BudgetExceededError
 from cayley.morphisms import find_isomorphism
 
-from oracles import regular_subgroup_census
+from oracles import naive_is_group_table, regular_subgroup_census
 
 # Classical numbers of isomorphism classes by order. Orders of shape p^2 or
 # p*q also follow from the existence criterion (1 class when no noncyclic
@@ -96,7 +97,7 @@ KERNEL_EDGE_CASES = {
 }
 
 
-@pytest.mark.parametrize("n", [0, *range(1, 17), 65])
+@pytest.mark.parametrize("n", [0, *range(1, 23), 65])
 def test_backend_parity(compiled_kernel, n):
     # Same tables in the same order, the same node count, the same errors.
     assert compiled_kernel.MAX_KERNEL_ORDER == _fillcore.MAX_KERNEL_ORDER
@@ -104,6 +105,50 @@ def test_backend_parity(compiled_kernel, n):
     assert _kernel_outcome(compiled_kernel, n) == expected
     if n in KERNEL_EDGE_CASES:
         assert expected == KERNEL_EDGE_CASES[n]
+
+
+# sha256 of repr(enumerate_group_tables(n)) on the pure kernel: the tables,
+# their order and the node count. Recorded before propagation moved to byte
+# tables; this needs no compiler, unlike the parity test.
+PURE_KERNEL_SHA256 = {
+    1: "283652068034d2ff305e6766a045c402895c8ec6ae71380fed26cb841996d0b2",
+    2: "6aa749cfb569bfa959b7c287976a55fe39157a1157830e54ed4a95b6859bc66c",
+    3: "fc75f4ea9a43bb2ba9e711f55f8bb5309fdee0ab5cb2319a1c8f45fd0d28aa39",
+    4: "f81cd17378c0bf10c0951c1a3d3617c867de5b43fe0a8c65340345c260cd4928",
+    5: "c8bab224c4cba78c10f780810a5d2fa5f2b31518d2c9fb82710bcc8e68115084",
+    6: "6196af75caf867d196d0f44f6b1a5153ae0d1763451b6177359541a39b72a2fc",
+    7: "8a1b6c5f5f9f02aa66c9fc918fe915538a41223de3c81248a244886aaea544d8",
+    8: "7aa7984ad12b3f02c50a06697f29fc3c448dbd88ef01483a1efcee98a83b0c7f",
+    9: "e495e974b32c3cfc1a0e3eff6e6a37513cebd2e79324943dad4404159eb1dcb0",
+    10: "6f6612f2906afb93b0fd2b5d22d8c024950b3b3cab1976536fad3a9b9f2ce1d4",
+    11: "934c2623448389809a8af3edad78ef4bdcf981f5d75096a14dcafba27f9abe51",
+    12: "0a778d84c53b562efa630a6ea3b7cbf1729cf7e48c6e95a9d97bcfde107afe06",
+    13: "26dd8046984294636116aec99e180fa7cd45275c0b6cd9a3a7c1b335684e657d",
+    14: "c4f3f3b72dda35467e0ab1bfb5d16213e80c7ef0330f82a471a1591bddfdfbd1",
+    15: "5fd3527b88d9778f2edf5610fa878d2e3b9c65771da086f35640f848ff23847a",
+    16: "293c9d5c58a4f546cf00ffaa1ec4a0decd3db7eaf66810bb5fcb8ddf2794058a",
+    17: "92fa00b7aea78189b14e8ae9fef8affd25660041fcc2937758780ce6c5517fe5",
+    18: "3e9af89f2fa8b78ec6e2e72a3809cc0bef415db260b5ca91cea41a7e6992665d",
+    19: "0d9c5f296655a8fbdee93172dc8650d0815eb67b933304a04d66d47835f1cc9b",
+    20: "07a1d9915ebf935222ea55aff2f88e8c2d37e9fdccf190f74fa1df2d3b185aa9",
+    21: "a1cdad16f267af7d9dc6b31113cc70f539c921f780cbd5250bf1459c8f0a4923",
+    22: "79b552a759f5fcc34f916f1ce5330b2fb1ee8f3fc5009e7bb03043f23e0de864",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PURE_KERNEL_SHA256))
+def test_pure_kernel_output_is_pinned(n):
+    result = _fillcore.enumerate_group_tables(n)
+    assert hashlib.sha256(repr(result).encode()).hexdigest() == PURE_KERNEL_SHA256[n]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_every_kernel_table_passes_the_naive_oracle(n):
+    # Raw kernel leaves, checked without from_table.
+    tables, _ = _fillcore.enumerate_group_tables(n)
+    assert tables
+    for flat in tables:
+        assert naive_is_group_table([list(flat[i * n : (i + 1) * n]) for i in range(n)])
 
 
 def test_representatives_are_valid_groups():
