@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import FiniteGroup, cyclic_group
-from .enumeration import DEFAULT_BUDGET, EnumerationReport, enumerate_groups
+from .enumeration import (
+    DEFAULT_BUDGET,
+    EnumerationReport,
+    check_order_fits,
+    enumerate_groups,
+)
 from .errors import (
     BadOrderError,
     GroupError,
@@ -54,6 +59,10 @@ class OrderShape:
     order: int
     p: int = 0
     q: int = 0
+
+
+# 2^2: no smaller order has the shape p^2 or p*q.
+SMALLEST_VERIFIED_ORDER = 4
 
 
 def order_shape(n: int) -> OrderShape:
@@ -312,13 +321,21 @@ def verify_theorem(max_order: int, budget: int | None = None) -> TheoremReport:
     """Check, for each order of shape p^2 or p*q up to max_order, that the
     enumeration oracle finds exactly the predicted number of isomorphism
     classes and that every representative classifies with a valid witness."""
+    if max_order < SMALLEST_VERIFIED_ORDER:
+        raise ValueError(
+            f"max_order {max_order} checks no order; the smallest order of shape "
+            f"p^2 or p*q is {SMALLEST_VERIFIED_ORDER}"
+        )
     if budget is None:
         budget = max(max_order, DEFAULT_BUDGET)
+    shapes = [order_shape(n) for n in range(SMALLEST_VERIFIED_ORDER, max_order + 1)]
+    shapes = [shape for shape in shapes if shape.kind != "unsupported"]
+    # Every order's budget and kernel limit, before the first enumeration.
+    for shape in shapes:
+        check_order_fits(shape.order, budget)
     rows = []
-    for n in range(2, max_order + 1):
-        shape = order_shape(n)
-        if shape.kind == "unsupported":
-            continue
+    for shape in shapes:
+        n = shape.order
         predicted = 1 + (1 if noncyclic_exists(shape.p, shape.q) else 0)
         report: EnumerationReport = enumerate_groups(n, budget=budget)
         kinds = []

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .classification import (
+    SMALLEST_VERIFIED_ORDER,
     CyclicResult,
     ElementaryAbelianResult,
     SemidirectResult,
@@ -186,6 +187,8 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.n < 1:
+        raise _UsageError(f"order {args.n} is not a group order; it must be at least 1")
     report = enumerate_groups(args.n, budget=args.budget)
     if args.out:
         out_dir = Path(args.out)
@@ -219,15 +222,11 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-# 2^2: no smaller order has the shape p^2 or p*q that verify checks.
-_SMALLEST_VERIFIED_ORDER = 4
-
-
 def _cmd_verify(args) -> int:
-    if args.max < _SMALLEST_VERIFIED_ORDER:
+    if args.max < SMALLEST_VERIFIED_ORDER:
         raise _UsageError(
             f"--max {args.max} checks no order; the smallest order of shape "
-            f"p^2 or p*q is {_SMALLEST_VERIFIED_ORDER}"
+            f"p^2 or p*q is {SMALLEST_VERIFIED_ORDER}"
         )
     report = verify_theorem(args.max, budget=args.budget)
     if args.json:

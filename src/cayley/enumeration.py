@@ -52,6 +52,15 @@ class EnumerationReport:
     stats: EnumerationStats
 
 
+def check_order_fits(n: int, budget: int) -> None:
+    """BudgetExceededError unless enumerate_groups(n, budget) may run:
+    n within the budget and within the kernel's order limit."""
+    if n > budget:
+        raise BudgetExceededError(f"order {n} exceeds the enumeration budget {budget}", needed=n)
+    if n > HARD_ORDER_LIMIT:
+        raise BudgetExceededError(f"kernel supports orders up to {HARD_ORDER_LIMIT}")
+
+
 def enumerate_groups(n: int, budget: int | None = None) -> EnumerationReport:
     """All groups of order n up to isomorphism.
 
@@ -64,10 +73,7 @@ def enumerate_groups(n: int, budget: int | None = None) -> EnumerationReport:
         budget = DEFAULT_BUDGET
     if n < 1:
         raise BudgetExceededError("order must be at least 1")
-    if n > budget:
-        raise BudgetExceededError(f"order {n} exceeds the enumeration budget {budget}", needed=n)
-    if n > HARD_ORDER_LIMIT:
-        raise BudgetExceededError(f"kernel supports orders up to {HARD_ORDER_LIMIT}")
+    check_order_fits(n, budget)
     tables, nodes = enumerate_tables(n)
     representatives: list[FiniteGroup] = []
     buckets: dict[tuple, list[FiniteGroup]] = {}

@@ -10,8 +10,15 @@ once per search from the source table: the products x * gens[j] that
 <gens[:d+1]> adds to <gens[:d]>. A node extends its parent's partial map
 along its plan only, so each product is checked once per branch, and
 every newly mapped element must be unused and match its preimage's
-stats. Fingerprints give sound rejection only; equality of fingerprints
-never concludes isomorphism.
+stats. All nodes share one partial map, changed in place: a node undoes
+what it mapped when it fails, when it completes a map or when the level
+below it is exhausted.
+A search for one isomorphism tries one image of the first generator per
+conjugacy class of the target, since conjugation is an automorphism of
+the target and carries an isomorphism with one image of the class to
+one with any other; the first isomorphism found is the same. The search
+for all automorphisms tries every image. Fingerprints give sound
+rejection only; equality of fingerprints never concludes isomorphism.
 
 The automorphism group is materialised as a carrier FiniteGroup whose
 element i is the permutation tuple perms[i]. Each automorphism is encoded
@@ -47,6 +54,9 @@ from .subgroups import AsGroup, Subgroup, as_group, is_normal
 # materialized as a carrier table, and backtracking nodes per search.
 AUT_CARRIER_LIMIT = 2048
 SEARCH_NODE_LIMIT = 2_000_000
+# Entries gathered per block by the blocked numpy passes (conjugacy class
+# ids, carrier composites); keeps each block to a few MB at the size cap.
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -226,10 +236,11 @@ def generating_sequence(g: FiniteGroup) -> list[int]:
 
 
 def _plans(table: np.ndarray, gens: list[int], colours: list[int]) -> list[list[tuple]]:
-    """Per depth d, the products (x, j, y = x * gens[j], c) that extend a
-    map on <gens[:d]> to <gens[:d+1]>, in BFS order from 0: every x of
+    """Per depth d, the products (x, j, y = x * gens[j], c, k) that extend
+    a map on <gens[:d]> to <gens[:d+1]>, in BFS order from 0: every x of
     <gens[:d]> times gens[d], then every newly reached element times each
-    of gens[:d+1]. c is colours[y] the first time y is reached, else -1.
+    of gens[:d+1]. c is colours[y] the first time y is reached, else -1,
+    and k counts the elements first reached at depth d before this product.
     Over all depths each product of an element by a generator appears once."""
     columns = table[:, gens].T.tolist()
     reached = [True] + [False] * (table.shape[0] - 1)
@@ -240,12 +251,30 @@ def _plans(table: np.ndarray, gens: list[int], colours: list[int]) -> list[list[
         for pos, x in enumerate(members):
             for j in (d,) if pos < old else range(d + 1):
                 y = columns[j][x]
-                plan.append((x, j, y, -1 if reached[y] else colours[y]))
+                plan.append((x, j, y, -1 if reached[y] else colours[y], len(members) - old))
                 if not reached[y]:
                     reached[y] = True
                     members.append(y)
         plans.append(plan)
     return plans
+
+
+def _class_ids(g: FiniteGroup) -> list[int]:
+    """Per element x, the least element of its conjugacy class (cached).
+    The conjugates h * x * h^-1 over all h are gathered for a block of
+    columns x at a time, so memory stays O(order * block)."""
+    cached = g._memo.get("class_ids")
+    if cached is None:
+        n = g.order
+        ids = np.empty(n, dtype=np.int32)
+        block = max(1, _BLOCK_ENTRIES // n)
+        for start in range(0, n, block):
+            ids[start : start + block] = g.table[
+                g.table[:, start : start + block], g.inverse[:, None]
+            ].min(axis=0)
+        cached = ids.tolist()
+        g._memo["class_ids"] = cached
+    return cached
 
 
 def _image_search(
@@ -258,13 +287,29 @@ def _image_search(
     """All (or the first) images of the generating sequence gens of g1 that
     extend to isomorphisms; all of them at most AUT_CARRIER_LIMIT.
 
-    A node at depth d holds the map on <gens[:d+1]> fixed by the images
-    tried so far. It copies its parent's partial map and walks only the
-    products of plan d: a newly reached y takes w = m[x] * image(gens[j])
-    and is rejected unless w is unused and has y's element stats (an
-    isomorphism preserves them), and a y mapped before must get w again.
-    So every product is checked once per branch, and a full-depth map is
-    an injective homomorphism, i.e. an isomorphism."""
+    A node at depth d extends the map on <gens[:d]> fixed by the images
+    tried above it to <gens[:d+1]>, walking only the products of plan d: a
+    newly reached y takes w = m[x] * image(gens[j]) and is rejected unless
+    w is unused and has y's element stats (an isomorphism preserves them),
+    and a y mapped before must get w again. So every product is checked
+    once per branch, and a full-depth map is an injective homomorphism,
+    i.e. an isomorphism.
+
+    All nodes share one map and one list of free colours, changed in
+    place. The elements a node maps are a prefix of those first reached
+    at its depth: the first k when it fails at a product with count k, all
+    of them when it succeeds. It gives their images their colours back
+    when it fails, when it completes a map or when the level below it is
+    exhausted. Entries of the map it leaves behind are never read, since
+    an element is read only after its branch has mapped it.
+
+    When only the first isomorphism is wanted, gens[0] tries one image
+    per conjugacy class of g2: the first in candidate order. Conjugation
+    by h is an automorphism of g2, so an isomorphism sending gens[0] to
+    h * y * h^-1 composed with conjugation by h^-1 sends it to y. A
+    skipped subtree thus holds an isomorphism only if the earlier
+    subtree of its class, already exhausted, held one, and the first
+    isomorphism found does not change."""
     n = g1.order
     stats1 = _element_stats(g1)
     stats2 = _element_stats(g2) if g2 is not g1 else stats1
@@ -275,29 +320,37 @@ def _image_search(
     candidates = [
         [y for y in range(n) if stats2[y] == stats1[g]] for g in gens
     ]
+    # Central images (class size 1) are their own classes: nothing to skip.
+    if not find_all and stats1[gens[0]][1] > 1:
+        class_ids = _class_ids(g2)
+        first: dict[int, int] = {}
+        for y in candidates[0]:
+            first.setdefault(class_ids[y], y)
+        candidates[0] = list(first.values())
     # Colour ids of the element stats. free[w] is w's colour until w is
     # used, then -1, so one comparison checks injectivity and stats.
     colour = {s: c for c, s in enumerate(set(stats1))}
     plans = _plans(g1.table, gens, [colour[s] for s in stats1])
+    # Per depth, (y, colour) of each element first reached there, in plan order.
+    fresh = [[(y, c) for _, _, y, c, _ in plan if c >= 0] for plan in plans]
+    m = [0] + [-1] * (n - 1)
     free = [-1] + [colour[s] for s in stats2[1:]]
+    columns: list[list[int]] = [[]] * len(gens)
     target_columns: dict[int, list[int]] = {}
     found: list[tuple[int, ...]] = []
     nodes = 0
-    # Depth-first: stack[d] holds the candidates left at depth d and the
-    # partial map, free colours and target columns fixed above them.
-    stack = [(iter(candidates[0]), [0] + [-1] * (n - 1), free, [])]
+    # Depth-first: stack[d] holds the candidates left at depth d.
+    stack = [iter(candidates[0])]
     while stack:
         depth = len(stack) - 1
-        todo, parent_map, parent_free, parent_columns = stack[-1]
-        for img in todo:
+        for img in stack[-1]:
             nodes += 1
             if nodes > SEARCH_NODE_LIMIT:
                 raise BudgetExceededError("isomorphism search node budget exceeded")
             if img not in target_columns:
                 target_columns[img] = g2.table[:, img].tolist()
-            columns = parent_columns + [target_columns[img]]
-            m, free = parent_map[:], parent_free[:]
-            for x, j, y, c in plans[depth]:
+            columns[depth] = target_columns[img]
+            for x, j, y, c, k in plans[depth]:
                 w = columns[j][m[x]]
                 if c < 0:
                     if m[y] != w:
@@ -309,7 +362,7 @@ def _image_search(
                     free[w] = -1
             else:
                 if depth + 1 < len(gens):
-                    stack.append((iter(candidates[depth + 1]), m, free, columns))
+                    stack.append(iter(candidates[depth + 1]))
                     break
                 found.append(tuple(m))
                 if not find_all:
@@ -318,9 +371,20 @@ def _image_search(
                     raise BudgetExceededError(
                         f"more than {AUT_CARRIER_LIMIT} automorphisms; raise the carrier limit"
                     )
+                _undo(m, free, fresh[depth])
+                continue
+            _undo(m, free, fresh[depth][:k])
         else:
             stack.pop()
+            if depth:
+                _undo(m, free, fresh[depth - 1])
     return found
+
+
+def _undo(m: list[int], free: list[int], mapped: list[tuple[int, int]]) -> None:
+    """Give the images of the mapped elements their colours back."""
+    for y, c in mapped:
+        free[m[y]] = c
 
 
 def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> Iso | None:
@@ -383,11 +447,6 @@ def automorphism_group(g: FiniteGroup) -> AutGroup:
     return g._memo["automorphism_group"]
 
 
-# Composites keyed and checked per block of carrier rows; keeps the
-# gathered arrays to a few MB at the carrier limit.
-_KEY_BLOCK_ENTRIES = 1 << 18
-
-
 def _composition_table(
     table: np.ndarray, perms: tuple[tuple[int, ...], ...], gens: list[int]
 ) -> np.ndarray:
@@ -412,7 +471,7 @@ def _composition_table(
     order = np.argsort(own)
     sorted_keys = own[order]
     out = np.empty((k, k), dtype=np.int32)
-    block = max(1, _KEY_BLOCK_ENTRIES // (max(k, n) * len(gens)))
+    block = max(1, _BLOCK_ENTRIES // (max(k, n) * len(gens)))
     for start in range(0, k, block):
         rows = p[start : start + block]
         # f(x * g) against f(x) * f(g), for f in this block

@@ -18,6 +18,7 @@ from cayley.classification import (
 from cayley.core import cyclic_group, symmetric_group
 from cayley.errors import (
     BadOrderError,
+    BudgetExceededError,
     HypothesisFailedError,
     NoNoncyclicGroupError,
     NotPrimeError,
@@ -218,6 +219,28 @@ def test_verify_theorem_small():
     assert "all orders pass: yes" in text
     payload = report.to_json_dict()
     assert payload["all_pass"] is True and len(payload["rows"]) == 6
+
+
+@pytest.mark.parametrize("max_order", [3, 1, -5])
+def test_verify_theorem_needs_an_order_to_check(max_order):
+    with pytest.raises(ValueError, match=f"^max_order {max_order} checks no order; "):
+        verify_theorem(max_order)
+
+
+def test_verify_theorem_checks_every_limit_before_any_work(monkeypatch):
+    import cayley.enumeration as enumeration
+
+    class NoKernel:
+        @staticmethod
+        def enumerate_group_tables(n):
+            pytest.fail(f"the kernel ran for order {n}")
+
+    monkeypatch.setattr(enumeration, "_kernel", NoKernel)
+    monkeypatch.setattr(enumeration, "HARD_ORDER_LIMIT", 9)
+    with pytest.raises(BudgetExceededError, match="^kernel supports orders up to 9$"):
+        verify_theorem(10)
+    with pytest.raises(BudgetExceededError, match="^order 9 exceeds the enumeration budget 8"):
+        verify_theorem(10, budget=8)
 
 
 def test_verify_theorem_records_failure_type(monkeypatch):

@@ -249,6 +249,13 @@ def test_enumerate_budget_gate(capsys):
     assert "order 21: 2 isomorphism classes" in out
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_enumerate_below_order_one_is_a_usage_error(capsys, n):
+    code, out, err = run(capsys, ["enumerate", n])
+    assert (code, out) == (2, "")
+    assert err == f"error: order {n} is not a group order; it must be at least 1\n"
+
+
 def test_enumerate_deterministic_stdout(capsys):
     _, first, _ = run(capsys, ["enumerate", "9", "--json"])
     _, second, _ = run(capsys, ["enumerate", "9", "--json"])

@@ -425,6 +425,15 @@ def test_element_stats_match_brute_force():
         assert morphisms._element_stats(g) == _element_stats_oracle(g), g.order
 
 
+def test_class_ids_match_brute_force():
+    # The id of x is the least element of its conjugacy class.
+    for g in small_group_corpus(10) + _order16_classes_times(1):
+        oracle = [
+            min(g.mul(g.mul(h, x), g.inv(h)) for h in range(g.order)) for x in range(g.order)
+        ]
+        assert morphisms._class_ids(g) == oracle, g.order
+
+
 def _relabelled(g, seed):
     """g with its non-identity elements renamed by a seeded permutation, by
     one numpy gather: oracles.relabel builds nested lists, which near the
@@ -455,7 +464,7 @@ def _check_walks_hold_no_table_copy(g, expected_orders):
 
 
 _stress = pytest.mark.skipif(
-    not os.environ.get("CAYLEY_STRESS"), reason="order 4096; set CAYLEY_STRESS=1 to run"
+    not os.environ.get("CAYLEY_STRESS"), reason="near the 4096 cap; set CAYLEY_STRESS=1 to run"
 )
 
 
@@ -470,6 +479,18 @@ def test_size_cap_elementary_abelian_walks_hold_no_table_copy(k):
     idx = np.arange(1 << k, dtype=np.int32)
     g = from_table(1 << k, idx[:, None] ^ idx[None, :])
     _check_walks_hold_no_table_copy(g, (1,) + (2,) * (g.order - 1))
+
+
+@pytest.mark.parametrize("q", [331, pytest.param(1291, marks=_stress)])
+def test_size_cap_nonabelian_walks_hold_no_table_copy(q):
+    # C_q x| C_3 (order 993, or 3873 near the cap): gens[0] generates C_q
+    # and is not central, so the search also computes the class ids of
+    # the target.
+    k = next(k for k in range(2, q) if pow(k, 3, q) == 1)
+    g = cyclic_power_semidirect(q, 3, k).group
+    assert morphisms._element_stats(g)[morphisms.generating_sequence(g)[0]][1] > 1
+    expected = tuple(1 if i == 0 else q if i % 3 == 0 else 3 for i in range(g.order))
+    _check_walks_hold_no_table_copy(g, expected)
 
 
 # sha256 of the first isomorphism found and of the automorphism lists.
@@ -538,6 +559,15 @@ def test_search_node_budget(monkeypatch):
     monkeypatch.setattr(morphisms, "SEARCH_NODE_LIMIT", 100)
     with pytest.raises(BudgetExceededError, match="^isomorphism search node budget exceeded$"):
         find_isomorphism(a, b)
+
+
+def test_conjugacy_pruning_is_live(monkeypatch):
+    # Trying every candidate for gens[0] takes 1,752 nodes on this order-48
+    # pair; one candidate per conjugacy class of the target halves that.
+    a, b = _stats_colliding_pairs(_order16_classes_times(3))[0]
+    monkeypatch.setattr(morphisms, "SEARCH_NODE_LIMIT", 1000)
+    assert find_isomorphism(a, b) is None
+    assert find_isomorphism(b, a) is None
 
 
 def test_searches_leave_no_reference_cycles():
