@@ -3,8 +3,9 @@
 The classifier never runs a raw isomorphism search on its main path: it
 extracts prime-order subgroups, checks normality, applies internal-product
 recognition, and transports the witness onto the canonical representative
-with a pair-map isomorphism (sdp_congr). The independent isomorphism
-search stays available as a cross-check.
+with a pair-map isomorphism (sdp_congr). Order p^2 takes the same path as
+pq: C_p x C_p is the semidirect product with trivial action. The
+independent isomorphism search stays available as a cross-check.
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ from .products import (
     sdp_congr,
     semidirect_product,
 )
-from .recognition import internal_direct, internal_semidirect
+from .recognition import internal_semidirect
 from .subgroups import (
-    as_group,
     distinct_subgroups_of_order,
     is_prime,
     subgroup_of_order,
@@ -179,36 +179,29 @@ def _classify_cyclic(g: FiniteGroup, generator: int) -> CyclicResult:
     return CyclicResult(iso=iso, generator=generator)
 
 
-def _classify_prime_squared(g: FiniteGroup, p: int) -> ElementaryAbelianResult:
-    sub_a, sub_b = distinct_subgroups_of_order(g, p)
-    iso_internal = internal_direct(g, sub_a, sub_b)
-    source_dp = direct_product(as_group(sub_a).group, as_group(sub_b).group)
-    cp = cyclic_group(p)
-    target_dp = direct_product(cp, cp)
-    bridge = sdp_congr(
-        iso_from_forward(cyclic_hom(source_dp.n_factor, cp, 1)),
-        iso_from_forward(cyclic_hom(source_dp.h_factor, cp, 1)),
-        source_dp,
-        target_dp,
-    )
-    return ElementaryAbelianResult(iso=iso_internal.then(bridge), p=p)
-
-
-def _classify_semidirect(g: FiniteGroup, p: int, q: int) -> SemidirectResult:
-    sylow_q = subgroup_of_order(g, q)
-    sylow_p = subgroup_of_order(g, p)
-    witness = internal_semidirect(g, sylow_q, sylow_p)
-    target, k = canonical_semidirect(p, q)
+def _classify_noncyclic(g: FiniteGroup, p: int, q: int) -> ClassificationResult:
+    """Carry an internal semidirect witness N x| H of a noncyclic g onto the
+    canonical target by a pair map: N of order q and H of order p (p < q),
+    or two distinct subgroups of order p = q, acting trivially."""
+    if p == q:
+        n, h = distinct_subgroups_of_order(g, p)
+        target = direct_product(cyclic_group(p), cyclic_group(p))
+    else:
+        n, h = subgroup_of_order(g, q), subgroup_of_order(g, p)
+        target, k = canonical_semidirect(p, q)
+    witness = internal_semidirect(g, n, h)
     f_q = iso_from_forward(cyclic_hom(witness.product.n_factor, target.n_factor, 1))
+    # A trivial action (p = q) is compatible already at a = 1.
     for a in range(1, p):
         f_p = iso_from_forward(cyclic_hom(witness.product.h_factor, target.h_factor, a))
         try:
             bridge = sdp_congr(f_q, f_p, witness.product, target)
         except IncompatibleActionError:
             continue
-        return SemidirectResult(
-            iso=witness.iso.then(bridge), p=p, q=q, k=k, phi=target.phi
-        )
+        iso = witness.iso.then(bridge)
+        if p == q:
+            return ElementaryAbelianResult(iso=iso, p=p)
+        return SemidirectResult(iso=iso, p=p, q=q, k=k, phi=target.phi)
     raise AssertionError("no compatible factor isomorphism; nontrivial actions "
                          "of C_p on C_q should be conjugate")
 
@@ -224,9 +217,7 @@ def classify(g: FiniteGroup) -> ClassificationResult:
     generator = g.cyclic_generator()
     if generator is not None:
         return _classify_cyclic(g, generator)
-    if shape.kind == "prime-squared":
-        return _classify_prime_squared(g, shape.p)
-    return _classify_semidirect(g, shape.p, shape.q)
+    return _classify_noncyclic(g, shape.p, shape.q)
 
 
 def express_as_semidirect(g: FiniteGroup, p: int, q: int) -> tuple[Hom, Iso]:
@@ -238,7 +229,7 @@ def express_as_semidirect(g: FiniteGroup, p: int, q: int) -> tuple[Hom, Iso]:
     if g.order != p * q:
         raise BadOrderError(f"group order {g.order} is not {p}*{q}")
     if not g.is_cyclic():
-        result = _classify_semidirect(g, p, q)
+        result = _classify_noncyclic(g, p, q)
         return result.phi, result.iso
     cq = cyclic_group(q)
     cp = cyclic_group(p)

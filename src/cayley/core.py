@@ -10,7 +10,8 @@ Subgroup closure is a breadth-first search from the identity under right
 multiplication by the generators, reading only the generator columns of
 the table. `greedy_generators`, the one generating-sequence routine,
 adjoins each candidate outside that closure. Associativity is checked at
-every order on its generators of range(n) only (Light's criterion).
+every order on its generators of range(n) only (Light's criterion); the
+group keeps them, and morphisms checks multiplicativity on them.
 """
 
 from __future__ import annotations
@@ -68,15 +69,15 @@ def greedy_generators(table: np.ndarray, candidates: Iterable[int]) -> list[int]
     return gens
 
 
-def _associativity_witness(table: np.ndarray) -> tuple[int, int, int] | None:
+def _associativity_witness(table: np.ndarray, gens: list[int]) -> tuple[int, int, int] | None:
     """Return a triple (x, g, y) with (xg)y != x(gy), or None if there is none.
 
     Light's criterion: the elements a with (xa)y = x(ay) for all x, y
     include 0 and are closed under products, and every element is a
-    left-nested word in the greedy generators of range(n). So checking
-    g over those generators decides associativity exactly, in
+    left-nested word in gens, the greedy generators of range(n). So
+    checking g over gens decides associativity exactly, in
     O(n^2 * generators), and g is always one of them."""
-    for g in greedy_generators(table, range(table.shape[0])):
+    for g in gens:
         lhs = table[table[:, g], :]
         rhs = table[:, table[g, :]]
         if not np.array_equal(lhs, rhs):
@@ -88,15 +89,17 @@ def _associativity_witness(table: np.ndarray) -> tuple[int, int, int] | None:
 class FiniteGroup:
     """A finite group on elements 0..order-1, identity at 0, immutable.
     `table` is its one representation (walks read single entries or the
-    columns they need); derived values are cached in `_memo`."""
+    columns they need); `generators` are the greedy generators of range(order)
+    found by validation; derived values are cached in `_memo`."""
 
-    __slots__ = ("order", "table", "inverse", "_hash", "_memo")
+    __slots__ = ("order", "table", "inverse", "generators", "_hash", "_memo")
 
-    def __init__(self, order: int, table: np.ndarray, inverse: np.ndarray):
+    def __init__(self, order: int, table: np.ndarray, inverse: np.ndarray, generators: tuple):
         # Internal constructor: callers go through from_table().
         self.order = order
         self.table = table
         self.inverse = inverse
+        self.generators = generators
         self._hash: int | None = None
         self._memo: dict = {}  # derived-invariant cache (values immutable)
 
@@ -206,8 +209,9 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _validate(n: int, table: np.ndarray) -> np.ndarray:
-    """Check all group axioms on an n x n index table; return the inverse array."""
+def _validate(n: int, table: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Check all group axioms on an n x n index table; return the inverse
+    array and the greedy generators of range(n)."""
     if n < 1:
         raise SizeCapError("order must be at least 1")
     if n > MAX_ORDER:
@@ -226,7 +230,8 @@ def _validate(n: int, table: np.ndarray) -> np.ndarray:
     if not np.array_equal(np.sort(table, axis=0), np.broadcast_to(idx[:, None], (n, n))):
         col = next(j for j in range(n) if len(set(table[:, j].tolist())) != n)
         raise NotLatinError(f"column {col} repeats an entry")
-    triple = _associativity_witness(table)
+    gens = greedy_generators(table, range(n))
+    triple = _associativity_witness(table, gens)
     if triple is not None:
         raise NotAssociativeError(triple)
     rows_idx, cols_idx = np.nonzero(table == 0)
@@ -234,7 +239,7 @@ def _validate(n: int, table: np.ndarray) -> np.ndarray:
     inverse[rows_idx] = cols_idx
     if not np.array_equal(table[inverse, idx], np.zeros(n, dtype=table.dtype)):
         raise NoInverseError("an element lacks a two-sided inverse")
-    return inverse
+    return inverse, tuple(gens)
 
 
 def from_table(order: int, table: Sequence[Sequence[int]] | np.ndarray) -> FiniteGroup:
@@ -249,10 +254,10 @@ def from_table(order: int, table: Sequence[Sequence[int]] | np.ndarray) -> Finit
         r, c = np.argwhere((arr < 0) | (arr >= MAX_ORDER))[0]
         raise NotClosedError(f"entry at row {r}, column {c} out of range")
     arr = arr.astype(np.int32)
-    inverse = _validate(order, arr)
+    inverse, gens = _validate(order, arr)
     arr.setflags(write=False)
     inverse.setflags(write=False)
-    return FiniteGroup(order, arr, inverse)
+    return FiniteGroup(order, arr, inverse, gens)
 
 
 def cyclic_group(n: int) -> FiniteGroup:

@@ -72,7 +72,7 @@ def enumerate_groups(n: int, budget: int | None = None) -> EnumerationReport:
     if budget is None:
         budget = DEFAULT_BUDGET
     if n < 1:
-        raise BudgetExceededError("order must be at least 1")
+        raise ValueError(f"order {n} is not a group order; it must be at least 1")
     check_order_fits(n, budget)
     tables, nodes = enumerate_tables(n)
     representatives: list[FiniteGroup] = []

@@ -74,7 +74,7 @@ class IdentityNotPreservedError(GroupError):
 
 
 class NotMultiplicativeError(GroupError):
-    """Candidate map is not a homomorphism; carries one witnessing pair (x, y)."""
+    """Candidate map is not a homomorphism; carries a witness (x, g), g a source generator."""
 
     def __init__(self, pair: tuple[int, int]):
         x, y = pair

@@ -24,11 +24,12 @@ The automorphism group is materialised as a carrier FiniteGroup whose
 element i is the permutation tuple perms[i]. Each automorphism is encoded
 by its images of the generating sequence; the carrier table composes all
 pairs with one gather over those images and finds each composite by
-binary search among the sorted encodings. The same blocks check every
-permutation at once: f(x * g) = f(x) * f(g) for all x and each generator
-g makes f a homomorphism, since every element is a word in the
-generators; a non-injective map has no inverse in the family, so the
-carrier table fails the Latin check of from_table.
+binary search among the sorted encodings. One check of multiplicativity
+serves make_hom (one map, on the generators kept from the source's
+validation) and the carrier (blocks of permutations): f(x * g) = f(x) * f(g)
+for all x and each generator g makes f a homomorphism, since every element
+is a word in the generators; a non-injective map has no inverse in the
+family, so the carrier table fails the Latin check of from_table.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ class Hom:
 
 
 def make_hom(source: FiniteGroup, target: FiniteGroup, mapping) -> Hom:
-    """Validate a candidate map as a homomorphism."""
+    """Validate a candidate map as a homomorphism: multiplicativity is
+    checked exactly on the generators kept from the source's validation."""
     m = np.asarray(mapping, dtype=np.int32)
     if m.shape != (source.order,):
         raise ValueError(f"map length {m.shape} does not match source order {source.order}")
@@ -93,12 +95,19 @@ def make_hom(source: FiniteGroup, target: FiniteGroup, mapping) -> Hom:
         raise ValueError("map has out-of-range values")
     if m[0] != 0:
         raise IdentityNotPreservedError("identity is not sent to identity")
-    lhs = m[source.table]
-    rhs = target.table[m[:, None], m[None, :]]
-    if not np.array_equal(lhs, rhs):
-        x, y = map(int, np.argwhere(lhs != rhs)[0])
-        raise NotMultiplicativeError((x, y))
+    _check_multiplicative(source.table, list(source.generators), target.table, m[None, :])
     return Hom(source, target, tuple(m.tolist()))
+
+
+def _check_multiplicative(table: np.ndarray, gens: list[int], target: np.ndarray, maps) -> None:
+    """NotMultiplicativeError((x, g)) unless f(x * g) = f(x) * f(g) for each
+    row f of the (k, n) block maps, all x and each g in gens (source table
+    `table`, target table `target`). Exact for maps with f(0) = 0 when gens
+    generate the source: every element is a word in gens."""
+    bad = maps[:, table[:, gens]] != target[maps[:, :, None], maps[:, gens][:, None, :]]
+    if bad.any():
+        _, x, j = map(int, np.argwhere(bad)[0])
+        raise NotMultiplicativeError((x, gens[j]))
 
 
 def trivial_hom(source: FiniteGroup, target: FiniteGroup) -> Hom:
@@ -452,15 +461,13 @@ def _composition_table(
 ) -> np.ndarray:
     """Table of perms, maps of the group with Cayley table `table` and
     generators gens, under composition: entry (i, j) is the index of
-    perms[i] after perms[j]. Raises NotMultiplicativeError unless
-    f(x * g) = f(x) * f(g) for every perm f, element x and g in gens.
-    An automorphism is determined by its images of a generating sequence,
-    so those images serve as its key: an int16 row (exact for every order
-    up to MAX_ORDER) viewed as one opaque byte string, which numpy sorts
-    and searches as a single value."""
+    perms[i] after perms[j]; NotMultiplicativeError unless each perm is a
+    homomorphism. An automorphism is determined by its images of a
+    generating sequence, so those images serve as its key: an int16 row
+    (exact for every order up to MAX_ORDER) viewed as one opaque byte
+    string, which numpy sorts and searches as a single value."""
     k, n = len(perms), table.shape[0]
     p = np.array(perms, dtype=np.int16)
-    right = table[:, gens]
     key_dtype = np.dtype((np.void, 2 * len(gens)))
 
     def keys(images: np.ndarray) -> np.ndarray:
@@ -474,11 +481,7 @@ def _composition_table(
     block = max(1, _BLOCK_ENTRIES // (max(k, n) * len(gens)))
     for start in range(0, k, block):
         rows = p[start : start + block]
-        # f(x * g) against f(x) * f(g), for f in this block
-        bad = rows[:, right] != table[rows[:, :, None], of_gens[start : start + block, None, :]]
-        if bad.any():
-            _, x, j = map(int, np.argwhere(bad)[0])
-            raise NotMultiplicativeError((x, gens[j]))
+        _check_multiplicative(table, gens, table, rows)
         # composite[i, j] = keys of perms[i] applied to perms[j]'s generator images
         composite = keys(rows[:, of_gens])
         pos = np.minimum(np.searchsorted(sorted_keys, composite), k - 1)

@@ -21,10 +21,11 @@ from .morphisms import (
     Iso,
     automorphism_group,
     conjugation_perm,
+    identity_iso,
     iso_from_forward,
     make_hom,
 )
-from .products import ProductGroup, sdp_trivial_iso_direct, semidirect_product
+from .products import ProductGroup, direct_product, semidirect_product
 from .subgroups import Subgroup, as_group, is_normal, join, meet
 
 
@@ -103,8 +104,8 @@ def internal_semidirect_join(
 
 def internal_direct(g: FiniteGroup, n: Subgroup, h: Subgroup) -> Iso:
     """Recognize g as the direct product N x H when both subgroups are
-    normal: the conjugation action is verified trivial and the semidirect
-    witness is transported onto the direct product."""
+    normal: the conjugation action is verified trivial, so the witness's
+    product has the direct product's table and the identity map carries it."""
     if not is_normal(n):
         raise NotNormalError("N")
     if not is_normal(h):
@@ -113,5 +114,5 @@ def internal_direct(g: FiniteGroup, n: Subgroup, h: Subgroup) -> Iso:
     if not witness.phi.is_trivial():
         # Both factors normal with trivial meet force elementwise commuting.
         raise NotNormalError("N")
-    bridge = sdp_trivial_iso_direct(witness.product.n_factor, witness.product.h_factor)
-    return witness.iso.then(bridge)
+    direct = direct_product(witness.product.n_factor, witness.product.h_factor)
+    return witness.iso.then(identity_iso(witness.product.group, direct.group))

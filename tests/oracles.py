@@ -10,6 +10,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations, product
 
+import numpy as np
+
 from cayley.core import FiniteGroup, from_table
 from cayley.enumeration import enumerate_groups
 from cayley.morphisms import find_isomorphism, fingerprint
@@ -135,6 +137,27 @@ def relabel(group: FiniteGroup, perm: list[int]) -> FiniteGroup:
         for j in range(n):
             rows[perm[i]][perm[j]] = perm[group.mul(i, j)]
     return from_table(n, rows)
+
+
+def relabel_seeded(group: FiniteGroup, seed: int) -> FiniteGroup:
+    """group with its non-identity elements renamed by a seeded permutation,
+    by one numpy gather: relabel builds nested lists, which near the size
+    cap take seconds and several hundred MB."""
+    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(group.order - 1)])
+    table = np.empty_like(group.table)
+    table[perm[:, None], perm[None, :]] = perm[group.table]
+    return from_table(group.order, table)
+
+
+def is_multiplicative(src: FiniteGroup, dst: FiniteGroup, mapping) -> bool:
+    """f(x * y) = f(x) * f(y) on all n^2 pairs, compared a block of rows x
+    at a time so that memory stays a few MB per block near the size cap."""
+    m = np.asarray(mapping)
+    for start in range(0, src.order, 256):
+        rows = m[start : start + 256]
+        if not np.array_equal(m[src.table[start : start + 256]], dst.table[rows[:, None], m]):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from cayley.classification import (
@@ -27,6 +29,8 @@ from cayley.errors import (
 from cayley.morphisms import automorphism_group, find_isomorphism, homs_to_aut
 from cayley.products import direct_product, semidirect_product
 from cayley.subgroups import is_prime
+
+from oracles import is_multiplicative, relabel_seeded
 
 PRIMES = [p for p in range(2, 100) if is_prime(p)]
 
@@ -204,6 +208,41 @@ def test_classify_under_relabeling():
 
     check21()
     check9()
+
+
+_stress = pytest.mark.skipif(
+    not os.environ.get("CAYLEY_STRESS"), reason="near the 4096 cap; set CAYLEY_STRESS=1 to run"
+)
+
+
+@pytest.mark.parametrize(
+    "p,q",
+    [(5, 5), (7, 7), (11, 11), (3, 103),
+     pytest.param(61, 61, marks=_stress), pytest.param(3, 1291, marks=_stress)],
+)
+def test_classify_witnesses_are_multiplicative_on_all_pairs(p, q):
+    # make_hom checks multiplicativity on generators only; the n^2 oracle
+    # checks the witnesses on every pair.
+    for g in (cyclic_group(p * q), canonical_noncyclic(p, q)):
+        h = relabel_seeded(g, seed=p * q)
+        iso = classify(h).iso
+        assert is_multiplicative(h, iso.target, iso.forward.map)
+        assert is_multiplicative(iso.target, h, iso.backward.map)
+        iso.validate()
+
+
+def test_classify_builds_two_products(monkeypatch):
+    # The internal semidirect witness and the canonical target, for p^2 as
+    # for pq.
+    import cayley.products as products
+
+    groups = [relabel_seeded(canonical_noncyclic(5, 5), 1), canonical_noncyclic(3, 7)]
+    assemble, builds = products._assemble, []
+    monkeypatch.setattr(products, "_assemble", lambda *args: builds.append(1) or assemble(*args))
+    for g in groups:
+        builds.clear()
+        classify(g)
+        assert len(builds) == 2, g.order
 
 
 def test_verify_theorem_small():

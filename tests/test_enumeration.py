@@ -37,7 +37,7 @@ def test_extended_budget_counts(n, expected):
 def test_budget_enforced():
     with pytest.raises(BudgetExceededError):
         enumerate_groups(17)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(ValueError, match="at least 1"):
         enumerate_groups(0)
     with pytest.raises(BudgetExceededError):
         enumerate_groups(65, budget=100)

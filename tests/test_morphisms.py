@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import math
 import os
 import tracemalloc
@@ -43,10 +44,12 @@ from cayley.products import cyclic_power_semidirect, direct_product, semidirect_
 from cayley.subgroups import subgroup_of_order, top
 
 from oracles import (
+    naive_closure,
     naive_composition_table,
     naive_element_order,
     naive_hom_maps,
     relabel,
+    relabel_seeded,
     small_group_corpus,
     totient,
 )
@@ -90,6 +93,25 @@ def test_make_hom_rejects_with_witness():
     assert bad[c4.mul(x, y)] != c2.mul(bad[x], bad[y])
     with pytest.raises(IdentityNotPreservedError):
         make_hom(c2, c2, [1, 0])
+
+
+def test_make_hom_accepts_exactly_the_homomorphisms(s3, klein):
+    # make_hom checks f(x * g) = f(x) * f(g) on the source's generators only;
+    # over every identity-preserving map it must agree with the n^2 oracle.
+    c2, c4, c6 = cyclic_group(2), cyclic_group(4), cyclic_group(6)
+    for src, dst in [(c4, c2), (s3, c2), (klein, s3), (c6, s3), (s3, s3)]:
+        assert naive_closure(src, list(src.generators)) == tuple(range(src.order))
+        homs = set(naive_hom_maps(src, dst))
+        accepted = set()
+        for tail in itertools.product(range(dst.order), repeat=src.order - 1):
+            candidate = (0, *tail)
+            try:
+                accepted.add(make_hom(src, dst, candidate).map)
+            except NotMultiplicativeError as exc:
+                x, g = exc.pair
+                assert g in src.generators
+                assert candidate[src.mul(x, g)] != dst.mul(candidate[x], candidate[g])
+        assert accepted == homs, (src.order, dst.order)
 
 
 def test_non_bijection_is_named():
@@ -434,21 +456,11 @@ def test_class_ids_match_brute_force():
         assert morphisms._class_ids(g) == oracle, g.order
 
 
-def _relabelled(g, seed):
-    """g with its non-identity elements renamed by a seeded permutation, by
-    one numpy gather: oracles.relabel builds nested lists, which near the
-    size cap take seconds and several hundred MB."""
-    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(g.order - 1)])
-    table = np.empty_like(g.table)
-    table[perm[:, None], perm[None, :]] = perm[g.table]
-    return from_table(g.order, table)
-
-
 def _check_walks_hold_no_table_copy(g, expected_orders):
     """Element orders, fingerprint and an isomorphism search on g must
     allocate well under one nested-list copy of the table (about 10x its
     int32 bytes), and still give the right answers."""
-    h = _relabelled(g, seed=g.order)
+    h = relabel_seeded(g, seed=g.order)
     tracemalloc.start()
     try:
         orders = g.element_orders()
@@ -514,7 +526,9 @@ def _digest(values) -> str:
 
 def test_search_output_is_pinned():
     corpus = _order16_classes_times(1) + _order16_classes_times(3)
-    maps = [find_isomorphism(g, _relabelled(g, seed)).forward.map for seed, g in enumerate(corpus)]
+    maps = [
+        find_isomorphism(g, relabel_seeded(g, seed)).forward.map for seed, g in enumerate(corpus)
+    ]
     assert _digest(maps) == FIND_ISOMORPHISM_DIGEST
     groups = [
         cyclic_group(21),
@@ -522,7 +536,7 @@ def test_search_output_is_pinned():
         direct_product(cyclic_group(3), cyclic_group(3)).group,
         symmetric_group(3),
     ]
-    perms = [automorphism_group(_relabelled(g, 7)).perms for g in groups]
+    perms = [automorphism_group(relabel_seeded(g, 7)).perms for g in groups]
     assert _digest(perms) == AUTOMORPHISM_PERMS_DIGEST
 
 
@@ -546,11 +560,11 @@ def test_exhaustive_negatives_and_relabelled_positives(m):
     pairs = _stats_colliding_pairs(classes)
     assert pairs
     for seed, (a, b) in enumerate(pairs):
-        a, b = _relabelled(a, 2 * seed), _relabelled(b, 2 * seed + 1)
+        a, b = relabel_seeded(a, 2 * seed), relabel_seeded(b, 2 * seed + 1)
         assert find_isomorphism(a, b) is None
         assert find_isomorphism(b, a) is None
     for seed, g in enumerate(classes):
-        find_isomorphism(g, _relabelled(g, 100 + seed)).validate()
+        find_isomorphism(g, relabel_seeded(g, 100 + seed)).validate()
 
 
 def test_search_node_budget(monkeypatch):
@@ -575,7 +589,7 @@ def test_searches_leave_no_reference_cycles():
     # return, not at some later full garbage collection, so long runs keep
     # a flat peak memory.
     a, b = _stats_colliding_pairs(_order16_classes_times(1))[0]
-    h = _relabelled(a, 3)
+    h = relabel_seeded(a, 3)
     calls = [
         lambda: _fillcore.enumerate_group_tables(8),
         lambda: find_isomorphism(a, b),

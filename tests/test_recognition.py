@@ -79,6 +79,17 @@ def test_internal_direct_needs_both_normal(s3, c6):
     assert iso.target.order == 6
 
 
+def test_internal_direct_builds_two_products(monkeypatch, c6):
+    # The witness's trivial semidirect product and the direct product.
+    import cayley.products as products
+
+    n, h = subgroup_from_members(c6, [0, 3]), subgroup_from_members(c6, [0, 2, 4])
+    assemble, builds = products._assemble, []
+    monkeypatch.setattr(products, "_assemble", lambda *args: builds.append(1) or assemble(*args))
+    internal_direct(c6, n, h).validate()
+    assert len(builds) == 2
+
+
 def test_join_variant_inside_bigger_group(s3):
     ambient = direct_product(s3, cyclic_group(2))
     g = ambient.group
