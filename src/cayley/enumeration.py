@@ -17,7 +17,7 @@ import numpy as np
 from . import _fillcore
 from .core import FiniteGroup, from_table
 from .errors import BudgetExceededError
-from .morphisms import find_isomorphism, fingerprint
+from .morphisms import _colour_key, find_isomorphism
 
 DEFAULT_BUDGET = 16
 HARD_ORDER_LIMIT = _fillcore.MAX_KERNEL_ORDER
@@ -65,9 +65,10 @@ def enumerate_groups(n: int, budget: int | None = None) -> EnumerationReport:
     """All groups of order n up to isomorphism.
 
     The kernel's canonical search is complete but may emit isomorphic
-    duplicates; they are removed here by fingerprint bucketing followed by
-    the full isomorphism search, so the oracle never trusts fingerprints
-    for a positive identification.
+    duplicates; they are removed here by bucketing on the colour key (the
+    sorted element colours, see morphisms) followed by the full
+    isomorphism search, so the oracle never trusts an invariant for a
+    positive identification.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -80,8 +81,7 @@ def enumerate_groups(n: int, budget: int | None = None) -> EnumerationReport:
     rejections = 0
     for flat in tables:
         group = from_table(n, np.array(flat, dtype=np.int32).reshape(n, n))
-        key = fingerprint(group)
-        bucket = buckets.setdefault(key, [])
+        bucket = buckets.setdefault(_colour_key(group), [])
         if any(find_isomorphism(group, rep) is not None for rep in bucket):
             rejections += 1
             continue

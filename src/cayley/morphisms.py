@@ -1,24 +1,31 @@
 """Homomorphisms, isomorphisms, automorphism groups, and the
 group-isomorphism decision procedure.
 
+Each element has a four-part colour, all isomorphism invariants: its
+order, its conjugacy class size, the order of its square and its number
+of square roots. The colour key of a group, the sorted tuple of its
+colours, is cached and is the one invariant that the search and the
+enumeration dedup compare: unequal keys reject at once, and equal keys
+never conclude isomorphism. The key determines every field of
+`fingerprint`, which stays as API and names the field that differs in
+`fingerprint_mismatch`.
+
 Isomorphisms are found by generator-image backtracking: a greedy
 irredundant generating sequence of the source (highest element order
 first, each generator outside the subgroup of the earlier ones) is mapped
-onto candidates with the same element stats (order, class size, order of
-the square) in the target. Each depth d of the search has a plan, built
-once per search from the source table: the products x * gens[j] that
-<gens[:d+1]> adds to <gens[:d]>. A node extends its parent's partial map
-along its plan only, so each product is checked once per branch, and
-every newly mapped element must be unused and match its preimage's
-stats. All nodes share one partial map, changed in place: a node undoes
-what it mapped when it fails, when it completes a map or when the level
-below it is exhausted.
+onto candidates of the same colour in the target. Each depth d of the
+search has a plan, built once per search from the source table: the
+products x * gens[j] that <gens[:d+1]> adds to <gens[:d]>. A node extends
+its parent's partial map along its plan only, so each product is checked
+once per branch, and every newly mapped element must be unused and match
+its preimage's colour. All nodes share one partial map, changed in place:
+a node undoes what it mapped when it fails, when it completes a map or
+when the level below it is exhausted.
 A search for one isomorphism tries one image of the first generator per
 conjugacy class of the target, since conjugation is an automorphism of
 the target and carries an isomorphism with one image of the class to
 one with any other; the first isomorphism found is the same. The search
-for all automorphisms tries every image. Fingerprints give sound
-rejection only; equality of fingerprints never concludes isomorphism.
+for all automorphisms tries every image.
 
 The automorphism group is materialised as a carrier FiniteGroup whose
 element i is the permutation tuple perms[i]. Each automorphism is encoded
@@ -221,19 +228,35 @@ def fingerprint_mismatch(g1: FiniteGroup, g2: FiniteGroup) -> str | None:
 # Generator-image backtracking.
 
 
-def _element_stats(g: FiniteGroup) -> list[tuple[int, int, int]]:
-    """Per-element invariant (order, conjugacy class size, order of the
-    square): candidate images in the search must match exactly."""
+def _element_stats(g: FiniteGroup) -> list[tuple[int, int, int, int]]:
+    """Per-element colour (order, conjugacy class size, order of the
+    square, number of square roots): candidate images in the search must
+    match exactly. Each part is an isomorphism invariant; an isomorphism
+    maps the square roots of x one-to-one onto those of f(x)."""
     cached = g._memo.get("element_stats")
     if cached is None:
-        orders = g.element_orders()
-        centralizer_sizes = g.centralizer_sizes()
-        squares = np.diagonal(g.table).tolist()
-        cached = [
-            (orders[x], g.order // int(centralizer_sizes[x]), orders[squares[x]])
-            for x in range(g.order)
-        ]
+        orders = np.asarray(g.element_orders())
+        squares = np.diagonal(g.table)
+        cached = list(
+            zip(
+                orders.tolist(),
+                (g.order // g.centralizer_sizes()).tolist(),
+                orders[squares].tolist(),
+                np.bincount(squares, minlength=g.order).tolist(),
+            )
+        )
         g._memo["element_stats"] = cached
+    return cached
+
+
+def _colour_key(g: FiniteGroup) -> tuple:
+    """The sorted element colours (cached): equal for isomorphic groups.
+    It determines every fingerprint field, since the centre is the
+    elements of class size 1 and a class of size s holds s elements."""
+    cached = g._memo.get("colour_key")
+    if cached is None:
+        cached = tuple(sorted(_element_stats(g)))
+        g._memo["colour_key"] = cached
     return cached
 
 
@@ -299,7 +322,7 @@ def _image_search(
     A node at depth d extends the map on <gens[:d]> fixed by the images
     tried above it to <gens[:d+1]>, walking only the products of plan d: a
     newly reached y takes w = m[x] * image(gens[j]) and is rejected unless
-    w is unused and has y's element stats (an isomorphism preserves them),
+    w is unused and has y's colour (an isomorphism preserves it),
     and a y mapped before must get w again. So every product is checked
     once per branch, and a full-depth map is an injective homomorphism,
     i.e. an isomorphism.
@@ -321,8 +344,8 @@ def _image_search(
     isomorphism found does not change."""
     n = g1.order
     stats1 = _element_stats(g1)
-    stats2 = _element_stats(g2) if g2 is not g1 else stats1
-    if sorted(stats1) != sorted(stats2):
+    stats2 = _element_stats(g2)
+    if _colour_key(g1) != _colour_key(g2):
         return []
     if n == 1:
         return [(0,)]
@@ -336,8 +359,8 @@ def _image_search(
         for y in candidates[0]:
             first.setdefault(class_ids[y], y)
         candidates[0] = list(first.values())
-    # Colour ids of the element stats. free[w] is w's colour until w is
-    # used, then -1, so one comparison checks injectivity and stats.
+    # Ids of the element colours. free[w] is w's colour until w is used,
+    # then -1, so one comparison checks injectivity and colour.
     colour = {s: c for c, s in enumerate(set(stats1))}
     plans = _plans(g1.table, gens, [colour[s] for s in stats1])
     # Per depth, (y, colour) of each element first reached there, in plan order.
@@ -398,13 +421,13 @@ def _undo(m: list[int], free: list[int], mapped: list[tuple[int, int]]) -> None:
 
 def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> Iso | None:
     """An explicit isomorphism g1 -> g2, or None if the groups are not
-    isomorphic. Fingerprint mismatch rejects fast; otherwise the
+    isomorphic. Unequal colour keys reject fast; otherwise the
     backtracking search is complete."""
     if g1.order != g2.order:
         return None
     if np.array_equal(g1.table, g2.table):
         return identity_iso(g1, g2)
-    if fingerprint(g1) != fingerprint(g2):
+    if _colour_key(g1) != _colour_key(g2):
         return None
     maps = _image_search(g1, g2, generating_sequence(g1), find_all=False)
     if not maps:

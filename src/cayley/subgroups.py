@@ -8,7 +8,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core import FiniteGroup, closure_indices, from_table
+from .core import FiniteGroup, closure_indices, from_table, greedy_generators
 from .errors import (
     MismatchedParentError,
     NoSuchElementError,
@@ -110,9 +110,10 @@ def meet(a: Subgroup, b: Subgroup) -> Subgroup:
 
 
 def join(a: Subgroup, b: Subgroup) -> Subgroup:
-    """Subgroup generated by the union."""
+    """Subgroup generated by the union, closed over greedy generators of
+    the union rather than over all its members."""
     _check_same_parent(a, b)
-    return closure(a.parent, a.members + b.members)
+    return closure(a.parent, greedy_generators(a.parent.table, a.members + b.members))
 
 
 def is_normal(h: Subgroup) -> bool:

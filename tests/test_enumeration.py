@@ -9,7 +9,7 @@ from cayley import _fillcore
 from cayley.core import from_table
 from cayley.enumeration import count_groups, enumerate_groups, enumerate_tables
 from cayley.errors import BudgetExceededError
-from cayley.morphisms import find_isomorphism
+from cayley.morphisms import _colour_key, find_isomorphism
 
 from oracles import naive_is_group_table, regular_subgroup_census
 
@@ -172,9 +172,48 @@ def test_order32_stress_count():
     assert count_groups(32, budget=32) == 51
 
 
+def _count_dedup_negatives(monkeypatch, n):
+    """enumerate_groups(n) and the number of its isomorphism searches that
+    found no isomorphism."""
+    from cayley import enumeration
+
+    negatives = []
+
+    def counted(g1, g2):
+        iso = find_isomorphism(g1, g2)
+        if iso is None:
+            negatives.append((g1, g2))
+        return iso
+
+    monkeypatch.setattr(enumeration, "find_isomorphism", counted)
+    return enumeration.enumerate_groups(n, budget=n), len(negatives)
+
+
+def test_order16_colour_keys_separate_every_class(monkeypatch):
+    # The 14 classes have 14 distinct colour keys, so a table meets only
+    # representatives of its own class and no dedup search fails.
+    report, negatives = _count_dedup_negatives(monkeypatch, 16)
+    assert report.count == 14
+    assert len({_colour_key(g) for g in report.representatives}) == 14
+    assert negatives == 0
+    assert report.stats.iso_rejections == 526
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CAYLEY_STRESS"),
+    reason="several minutes; set CAYLEY_STRESS=1 to run",
+)
+def test_order32_colour_keys_separate_every_class(monkeypatch):
+    report, negatives = _count_dedup_negatives(monkeypatch, 32)
+    assert report.count == 51
+    assert len({_colour_key(g) for g in report.representatives}) == 51
+    assert negatives == 0
+
+
 def test_order16_fingerprint_collisions_are_resolved_by_search():
-    # At order 16 two pairs of non-isomorphic classes share a fingerprint,
-    # so deduplication genuinely depends on the backtracking search.
+    # At order 16 two pairs of non-isomorphic classes share a fingerprint;
+    # their colour keys differ (the square-root counts tell them apart), so
+    # deduplication separates them without a search.
     from collections import Counter
 
     from cayley.morphisms import fingerprint

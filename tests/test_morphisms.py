@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import itertools
@@ -429,12 +430,14 @@ def test_identity_iso_roundtrip(c6):
 
 
 def _element_stats_oracle(g):
-    """(order, conjugacy class size, order of the square) by brute force."""
+    """(order, conjugacy class size, order of the square, number of square
+    roots) by brute force."""
     orders = [naive_element_order(g, x) for x in range(g.order)]
     stats = []
     for x in range(g.order):
         conjugates = {g.mul(g.mul(y, x), g.inv(y)) for y in range(g.order)}
-        stats.append((orders[x], len(conjugates), orders[g.mul(x, x)]))
+        roots = sum(g.mul(y, y) == x for y in range(g.order))
+        stats.append((orders[x], len(conjugates), orders[g.mul(x, x)], roots))
     return stats
 
 
@@ -540,35 +543,51 @@ def test_search_output_is_pinned():
     assert _digest(perms) == AUTOMORPHISM_PERMS_DIGEST
 
 
-def _stats_colliding_pairs(groups):
-    """Pairs of distinct classes whose sorted element stats agree, so the
-    search rejects them only after trying every branch."""
-    stats = [sorted(morphisms._element_stats(g)) for g in groups]
-    return [
-        (groups[i], groups[j])
-        for i in range(len(groups))
-        for j in range(i + 1, len(groups))
-        if stats[i] == stats[j]
-    ]
+@functools.cache
+def _colour_colliding_pair():
+    """The first pair of non-isomorphic groups (C9 x C3) x| C3, over the
+    actions homs_to_aut(C3, Aut(C9 x C3)), whose colour keys agree, so the
+    search rejects it only after trying every branch. Non-isomorphism is
+    shown without the search: one group is generated by two elements and
+    the other is not."""
+    n = direct_product(cyclic_group(9), cyclic_group(3)).group
+    c3 = cyclic_group(3)
+    actions = homs_to_aut(c3, automorphism_group(n))
+    groups = [semidirect_product(n, c3, phi).group for phi in actions]
+    return next(
+        (a, b)
+        for a, b in itertools.combinations(groups, 2)
+        if morphisms._colour_key(a) == morphisms._colour_key(b)
+        and _two_generated(a) != _two_generated(b)
+    )
+
+
+def _two_generated(g) -> bool:
+    return any(
+        len(naive_closure(g, [x, y])) == g.order
+        for x, y in itertools.combinations(range(g.order), 2)
+    )
 
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_exhaustive_negatives_and_relabelled_positives(m):
-    # Distinct order-16 classes stay distinct after a direct factor C_m
-    # (Krull-Schmidt), so every stats-colliding pair is non-isomorphic.
-    classes = _order16_classes_times(m)
-    pairs = _stats_colliding_pairs(classes)
-    assert pairs
-    for seed, (a, b) in enumerate(pairs):
-        a, b = relabel_seeded(a, 2 * seed), relabel_seeded(b, 2 * seed + 1)
-        assert find_isomorphism(a, b) is None
-        assert find_isomorphism(b, a) is None
-    for seed, g in enumerate(classes):
+    # A direct factor C_m keeps the pair non-isomorphic (Krull-Schmidt)
+    # and its colour keys equal: the colour of (x, z) is a function of the
+    # colours of x and z.
+    a, b = (
+        g if m == 1 else direct_product(g, cyclic_group(m)).group for g in _colour_colliding_pair()
+    )
+    assert fingerprint(a) == fingerprint(b)
+    assert morphisms._colour_key(a) == morphisms._colour_key(b)
+    a, b = relabel_seeded(a, 0), relabel_seeded(b, 1)
+    assert find_isomorphism(a, b) is None
+    assert find_isomorphism(b, a) is None
+    for seed, g in enumerate(_order16_classes_times(m)):
         find_isomorphism(g, relabel_seeded(g, 100 + seed)).validate()
 
 
 def test_search_node_budget(monkeypatch):
-    a, b = _stats_colliding_pairs(_order16_classes_times(1))[0]
+    a, b = _colour_colliding_pair()
     assert find_isomorphism(a, b) is None
     monkeypatch.setattr(morphisms, "SEARCH_NODE_LIMIT", 100)
     with pytest.raises(BudgetExceededError, match="^isomorphism search node budget exceeded$"):
@@ -576,9 +595,11 @@ def test_search_node_budget(monkeypatch):
 
 
 def test_conjugacy_pruning_is_live(monkeypatch):
-    # Trying every candidate for gens[0] takes 1,752 nodes on this order-48
-    # pair; one candidate per conjugacy class of the target halves that.
-    a, b = _stats_colliding_pairs(_order16_classes_times(3))[0]
+    # Trying every candidate for gens[0] takes 2,970 nodes on this order-81
+    # pair; one candidate per conjugacy class of the target (gens[0] has
+    # class size 3) takes 990.
+    a, b = _colour_colliding_pair()
+    assert morphisms._element_stats(a)[morphisms.generating_sequence(a)[0]][1] == 3
     monkeypatch.setattr(morphisms, "SEARCH_NODE_LIMIT", 1000)
     assert find_isomorphism(a, b) is None
     assert find_isomorphism(b, a) is None
@@ -588,7 +609,7 @@ def test_searches_leave_no_reference_cycles():
     # The kernel and the isomorphism search free their state when they
     # return, not at some later full garbage collection, so long runs keep
     # a flat peak memory.
-    a, b = _stats_colliding_pairs(_order16_classes_times(1))[0]
+    a, b = _colour_colliding_pair()
     h = relabel_seeded(a, 3)
     calls = [
         lambda: _fillcore.enumerate_group_tables(8),
@@ -596,7 +617,7 @@ def test_searches_leave_no_reference_cycles():
         lambda: find_isomorphism(a, h),
     ]
     for call in calls:
-        call()  # caches the fingerprints and element stats first
+        call()  # caches the colour keys and element stats first
         gc.collect()
         gc.disable()
         try:

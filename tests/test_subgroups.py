@@ -30,7 +30,7 @@ from cayley.subgroups import (
     top,
 )
 
-from oracles import naive_subgroup_sets, small_group_corpus
+from oracles import naive_closure, naive_subgroup_sets, small_group_corpus
 
 
 def all_subgroups(g):
@@ -88,6 +88,13 @@ def test_lattice_laws():
         for a, b, c in combinations(subs, 3):
             assert meet(meet(a, b), c).members == meet(a, meet(b, c)).members
             assert join(join(a, b), c).members == join(a, join(b, c)).members
+
+
+def test_join_matches_naive_closure_of_the_union():
+    for g in small_group_corpus(10):
+        subs = all_subgroups(g)
+        for a, b in product(subs, repeat=2):
+            assert join(a, b).members == naive_closure(g, list(a.members + b.members)), g.order
 
 
 def test_lattice_identities(s3):
