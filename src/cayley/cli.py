@@ -28,6 +28,7 @@ from .errors import BudgetExceededError, GroupError, InvalidActionError
 from .fileformat import read_group, write_group, write_group_text
 from .morphisms import (
     automorphism_group,
+    colour_mismatch,
     find_isomorphism,
     fingerprint_mismatch,
 )
@@ -119,7 +120,7 @@ def _cmd_iso(args) -> int:
     g2 = _load(args.file_b)
     iso = find_isomorphism(g1, g2)
     if iso is None:
-        reason = fingerprint_mismatch(g1, g2) or "search exhausted"
+        reason = fingerprint_mismatch(g1, g2) or colour_mismatch(g1, g2) or "search exhausted"
         if args.json:
             _emit_json({"isomorphic": False, "reason": reason})
         else:

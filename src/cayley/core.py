@@ -2,29 +2,32 @@
 
 A group of order n is a dense n x n numpy table of element indices with
 the identity pinned at index 0, its only representation: walks read single
-entries or the columns they need. Validation checks all four structural
-invariants (identity, Latin property, associativity, inverses); any
-group object in circulation has passed them.
+entries or the columns they need. Validation accepts a table on three
+axioms: index 0 is a two-sided identity, the operation is associative and
+every element has a two-sided inverse. Such a table is a group, so it is
+Latin; the Latin property is implied, and it is checked only once another
+check has failed, to name the failure. Any group object in circulation has
+passed validation.
 
 Subgroup closure is a breadth-first search from the identity under right
 multiplication by the generators, reading only the generator columns of
-the table. `greedy_generators`, the one generating-sequence routine,
-adjoins each candidate outside that closure. Associativity is checked at
-every order on its generators of range(n) only (Light's criterion); the
+the table; the search grows as generators are adjoined. `greedy_generators`,
+the one generating-sequence routine, adjoins each candidate outside that
+closure. Associativity is checked at every order on its generators of
+range(n) only (Light's criterion), in row blocks of bounded size; the
 group keeps them, and morphisms checks multiplicativity on them.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import permutations
-from typing import Iterable, Sequence
+from itertools import islice, permutations
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
     NoIdentityError,
-    NoInverseError,
     NotAssociativeError,
     NotClosedError,
     NotLatinError,
@@ -32,6 +35,39 @@ from .errors import (
 )
 
 MAX_ORDER = 4096
+# Entries gathered per block by the blocked numpy passes (associativity,
+# conjugacy class ids, carrier composites); keeps each block to a few MB at
+# the size cap.
+_BLOCK_ENTRIES = 1 << 18
+
+
+class _Closure:
+    """The closure of {0} under right multiplication by the generators
+    adjoined so far, grown by breadth-first search as generators are
+    adjoined. Only the generator columns of the table are read."""
+
+    __slots__ = ("table", "seen", "members", "columns")
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+        self.seen = bytearray(table.shape[0])
+        self.seen[0] = 1
+        self.members = [0]
+        self.columns: list[list[int]] = []
+
+    def adjoin(self, gens: list[int]) -> None:
+        """Every member so far times each new generator, then every newly
+        reached element times all generators."""
+        new = self.table[:, gens].T.tolist()
+        self.columns += new
+        seen, members, columns = self.seen, self.members, self.columns
+        old = len(members)
+        for pos, x in enumerate(members):
+            for column in new if pos < old else columns:
+                y = column[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    members.append(y)
 
 
 def closure_indices(table: np.ndarray, gens: Iterable[int]) -> tuple[int, ...]:
@@ -42,47 +78,49 @@ def closure_indices(table: np.ndarray, gens: Iterable[int]) -> tuple[int, ...]:
     the generated subgroup, so only the generator columns are read:
     O(n * |gens|) work. On a table that is not a group the result is still
     a subset of the closure under the full operation."""
-    columns = table[:, sorted({int(g) for g in gens})].T.tolist()
-    seen = bytearray(table.shape[0])
-    seen[0] = 1
-    members = [0]
-    for x in members:
-        for column in columns:
-            y = column[x]
-            if not seen[y]:
-                seen[y] = 1
-                members.append(y)
-    return tuple(sorted(members))
+    closure = _Closure(table)
+    closure.adjoin(sorted({int(g) for g in gens}))
+    return tuple(sorted(closure.members))
+
+
+def _adjoined(table: np.ndarray, candidates: Iterable[int]) -> Iterator[int]:
+    """Each candidate outside the closure of those adjoined before it, as
+    it is adjoined; the one closure grows with each."""
+    closure = _Closure(table)
+    for x in candidates:
+        if not closure.seen[x]:
+            closure.adjoin([x])
+            yield int(x)
 
 
 def greedy_generators(table: np.ndarray, candidates: Iterable[int]) -> list[int]:
     """Walk the candidates once, adjoining each one outside the closure of
     those adjoined before it: a greedy irredundant generating sequence, not
     necessarily of minimum length, that generates every candidate."""
-    gens: list[int] = []
-    closed = np.zeros(table.shape[0], dtype=bool)
-    closed[0] = True
-    for x in candidates:
-        if not closed[x]:
-            gens.append(int(x))
-            closed[list(closure_indices(table, gens))] = True
-    return gens
+    return list(_adjoined(table, candidates))
 
 
 def _associativity_witness(table: np.ndarray, gens: list[int]) -> tuple[int, int, int] | None:
-    """Return a triple (x, g, y) with (xg)y != x(gy), or None if there is none.
+    """Return the first triple (x, g, y) with (xg)y != x(gy), g in gens
+    order and then (x, y) in row-major order, or None if there is none.
 
     Light's criterion: the elements a with (xa)y = x(ay) for all x, y
     include 0 and are closed under products, and every element is a
     left-nested word in gens, the greedy generators of range(n). So
     checking g over gens decides associativity exactly, in
-    O(n^2 * generators), and g is always one of them."""
+    O(n^2 * generators), and g is always one of them. Rows x are compared
+    a block at a time, so the temporaries stay O(_BLOCK_ENTRIES)."""
+    n = table.shape[0]
+    rows = max(1, _BLOCK_ENTRIES // n)
     for g in gens:
-        lhs = table[table[:, g], :]
-        rhs = table[:, table[g, :]]
-        if not np.array_equal(lhs, rhs):
-            x, y = map(int, np.argwhere(lhs != rhs)[0])
-            return (x, int(g), y)
+        gy = table[g]
+        for start in range(0, n, rows):
+            block = table[start : start + rows]
+            lhs = table[block[:, g]]
+            rhs = np.take(block, gy, axis=1)
+            if not np.array_equal(lhs, rhs):
+                x, y = map(int, np.argwhere(lhs != rhs)[0])
+                return (start + x, int(g), y)
     return None
 
 
@@ -191,7 +229,7 @@ class FiniteGroup:
 
     def validate(self) -> None:
         """Re-run the full construction-time validation pass."""
-        _validate(self.order, self.table)
+        _validate(self.order, self.table, int(self.table.min()), int(self.table.max()))
 
     # Value semantics.
 
@@ -209,37 +247,53 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _validate(n: int, table: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Check all group axioms on an n x n index table; return the inverse
-    array and the greedy generators of range(n)."""
+def _validate(n: int, table: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Check the group axioms on an n x n index table whose entries span
+    lo..hi; return the inverse array and the greedy generators of range(n).
+
+    A table is accepted after the identity, Light's criterion and
+    two-sided inverses, in a bounded number of O(n^2) passes: an
+    associative table with a two-sided identity and inverses is a group,
+    hence Latin. Once any check fails, the table is not a group and the
+    Latin checks run, so every table raises the error of the first failing
+    axiom in the order range, identity, Latin rows, Latin columns,
+    associativity."""
     if n < 1:
         raise SizeCapError("order must be at least 1")
     if n > MAX_ORDER:
         raise SizeCapError(f"order {n} exceeds the cap of {MAX_ORDER}")
     if table.shape != (n, n):
         raise NotClosedError(f"table shape {table.shape} does not match order {n}")
-    if table.min(initial=0) < 0 or table.max(initial=0) >= n:
+    if lo < 0 or hi >= n:
         bad = np.argwhere((table < 0) | (table >= n))[0]
         raise NotClosedError(f"entry at row {bad[0]}, column {bad[1]} out of range")
     idx = np.arange(n)
     if not (np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)):
         raise NoIdentityError("index 0 is not a two-sided identity")
+    # A group has at most log2(n) greedy generators, since each one at least
+    # doubles the subgroup of those before it; a table with more is no group,
+    # and neither the closure nor Light's criterion runs past that bound.
+    limit = n.bit_length()
+    gens = list(islice(_adjoined(table, range(n)), limit))
+    triple = None
+    if len(gens) < limit:
+        triple = _associativity_witness(table, gens)
+        if triple is None:
+            inverse = table.argmin(axis=1)  # the first 0 in each row that has one
+            if not (table[idx, inverse].any() or table[inverse, idx].any()):
+                return inverse.astype(table.dtype), tuple(gens)
     if not np.array_equal(np.sort(table, axis=1), np.broadcast_to(idx, (n, n))):
         row = next(i for i in range(n) if len(set(table[i].tolist())) != n)
         raise NotLatinError(f"row {row} repeats an entry")
     if not np.array_equal(np.sort(table, axis=0), np.broadcast_to(idx[:, None], (n, n))):
         col = next(j for j in range(n) if len(set(table[:, j].tolist())) != n)
         raise NotLatinError(f"column {col} repeats an entry")
-    gens = greedy_generators(table, range(n))
-    triple = _associativity_witness(table, gens)
-    if triple is not None:
-        raise NotAssociativeError(triple)
-    rows_idx, cols_idx = np.nonzero(table == 0)
-    inverse = np.empty(n, dtype=table.dtype)
-    inverse[rows_idx] = cols_idx
-    if not np.array_equal(table[inverse, idx], np.zeros(n, dtype=table.dtype)):
-        raise NoInverseError("an element lacks a two-sided inverse")
-    return inverse, tuple(gens)
+    # A Latin table with an identity is a group once it is associative, so
+    # here it is not, and Light's criterion over all its greedy generators
+    # names the witness.
+    if triple is None:
+        triple = _associativity_witness(table, greedy_generators(table, range(n)))
+    raise NotAssociativeError(triple)
 
 
 def from_table(order: int, table: Sequence[Sequence[int]] | np.ndarray) -> FiniteGroup:
@@ -249,12 +303,13 @@ def from_table(order: int, table: Sequence[Sequence[int]] | np.ndarray) -> Finit
         raise NotClosedError(f"table must be two-dimensional, got shape {arr.shape}")
     if arr.dtype.kind not in "iu":
         raise NotClosedError(f"table entries must be integers, got {arr.dtype}")
+    lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
     # No entry may reach MAX_ORDER; checked before the int32 cast would wrap one.
-    if arr.size and (arr.min() < 0 or arr.max() >= MAX_ORDER):
+    if lo < 0 or hi >= MAX_ORDER:
         r, c = np.argwhere((arr < 0) | (arr >= MAX_ORDER))[0]
         raise NotClosedError(f"entry at row {r}, column {c} out of range")
     arr = arr.astype(np.int32)
-    inverse, gens = _validate(order, arr)
+    inverse, gens = _validate(order, arr, lo, hi)
     arr.setflags(write=False)
     inverse.setflags(write=False)
     return FiniteGroup(order, arr, inverse, gens)
@@ -267,7 +322,8 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n > MAX_ORDER:
         raise SizeCapError(f"order {n} exceeds the cap of {MAX_ORDER}")
     idx = np.arange(n, dtype=np.int32)
-    table = (idx[:, None] + idx[None, :]) % n
+    table = idx[:, None] + idx[None, :]
+    table %= n
     return from_table(n, table)
 
 

@@ -9,9 +9,8 @@ with the offending line number.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .core import FiniteGroup, from_table
 from .errors import ParseError
@@ -82,19 +81,21 @@ def read_group(source: str | Path | IO[str]) -> FiniteGroup:
     return read_group_text(text)
 
 
-def write_group_text(group: FiniteGroup, comments: Iterable[str] = ()) -> str:
-    """Render a group in the Cayley-table text format."""
-    out = io.StringIO()
+def _lines(group: FiniteGroup, comments: Iterable[str]) -> Iterator[str]:
+    """The lines of the Cayley-table text format, one table row at a time."""
     for comment in comments:
-        line = comment if comment.startswith("#") else f"# {comment}"
-        out.write(line + "\n")
-    out.write(f"{group.order}\n")
+        yield (comment if comment.startswith("#") else f"# {comment}") + "\n"
+    yield f"{group.order}\n"
     # Indexing a list of the decimal names is several times faster than
     # formatting every entry with str().
     names = [str(i) for i in range(group.order)]
-    for row in group.table.tolist():
-        out.write(" ".join([names[v] for v in row]) + "\n")
-    return out.getvalue()
+    for row in group.table:
+        yield " ".join([names[v] for v in row.tolist()]) + "\n"
+
+
+def write_group_text(group: FiniteGroup, comments: Iterable[str] = ()) -> str:
+    """Render a group in the Cayley-table text format."""
+    return "".join(_lines(group, comments))
 
 
 def write_group(
@@ -102,9 +103,10 @@ def write_group(
     target: str | Path | IO[str],
     comments: Iterable[str] = (),
 ) -> None:
-    """Write a group to a path or an open text stream."""
-    text = write_group_text(group, comments)
+    """Write a group to a path or an open text stream, a row at a time, so
+    memory stays O(order) rather than the size of the text."""
     if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="ascii")
+        with open(target, "w", encoding="ascii") as out:
+            out.writelines(_lines(group, comments))
     else:
-        target.write(text)
+        target.writelines(_lines(group, comments))

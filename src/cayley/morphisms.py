@@ -8,7 +8,8 @@ colours, is cached and is the one invariant that the search and the
 enumeration dedup compare: unequal keys reject at once, and equal keys
 never conclude isomorphism. The key determines every field of
 `fingerprint`, which stays as API and names the field that differs in
-`fingerprint_mismatch`.
+`fingerprint_mismatch`; `colour_mismatch` names the colour part that
+differs when the fingerprints agree.
 
 Isomorphisms are found by generator-image backtracking: a greedy
 irredundant generating sequence of the source (highest element order
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FiniteGroup, from_table, greedy_generators
+from .core import _BLOCK_ENTRIES, FiniteGroup, from_table, greedy_generators
 from .errors import (
     BudgetExceededError,
     IdentityNotPreservedError,
@@ -62,9 +63,6 @@ from .subgroups import AsGroup, Subgroup, as_group, is_normal
 # materialized as a carrier table, and backtracking nodes per search.
 AUT_CARRIER_LIMIT = 2048
 SEARCH_NODE_LIMIT = 2_000_000
-# Entries gathered per block by the blocked numpy passes (conjugacy class
-# ids, carrier composites); keeps each block to a few MB at the size cap.
-_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -258,6 +256,22 @@ def _colour_key(g: FiniteGroup) -> tuple:
         cached = tuple(sorted(_element_stats(g)))
         g._memo["colour_key"] = cached
     return cached
+
+
+COLOUR_PARTS = ("element orders", "class sizes", "orders of squares", "square-root counts")
+
+
+def colour_mismatch(g1: FiniteGroup, g2: FiniteGroup) -> str | None:
+    """Name of the first colour part whose multiset differs between the
+    groups; "element colours" when each part agrees but the colour keys
+    do not; None when the keys agree."""
+    if _colour_key(g1) == _colour_key(g2):
+        return None
+    s1, s2 = _element_stats(g1), _element_stats(g2)
+    for i, name in enumerate(COLOUR_PARTS):
+        if sorted(c[i] for c in s1) != sorted(c[i] for c in s2):
+            return name
+    return "element colours"
 
 
 def generating_sequence(g: FiniteGroup) -> list[int]:

@@ -14,6 +14,14 @@ import numpy as np
 
 from cayley.core import FiniteGroup, from_table
 from cayley.enumeration import enumerate_groups
+from cayley.errors import (
+    GroupError,
+    NoIdentityError,
+    NoInverseError,
+    NotAssociativeError,
+    NotClosedError,
+    NotLatinError,
+)
 from cayley.morphisms import find_isomorphism, fingerprint
 
 
@@ -37,6 +45,52 @@ def naive_is_group_table(rows: list[list[int]]) -> bool:
                 if rows[rows[i][j]][k] != rows[i][rows[j][k]]:
                     return False
     return True
+
+
+def reference_validation_error(rows: list[list[int]]) -> GroupError | None:
+    """The error of the first group axiom that an n x n table (n =
+    len(rows)) fails, checked one after the other in the order range,
+    identity, Latin rows, Latin columns, associativity, inverses; None for
+    a group table. Associativity is Light's criterion as the validator
+    applies it: over the greedy generators of range(n), each the least
+    index outside the closure of {0} under right multiplication by those
+    before it, and the witness is the first failing generator, then the
+    first failing (x, y) in row-major order. Plain loops throughout."""
+    n = len(rows)
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            if not 0 <= v < n:
+                return NotClosedError(f"entry at row {r}, column {c} out of range")
+    if rows[0] != list(range(n)) or [row[0] for row in rows] != list(range(n)):
+        return NoIdentityError("index 0 is not a two-sided identity")
+    for i, row in enumerate(rows):
+        if len(set(row)) != n:
+            return NotLatinError(f"row {i} repeats an entry")
+    for j in range(n):
+        if len({row[j] for row in rows}) != n:
+            return NotLatinError(f"column {j} repeats an entry")
+    gens: list[int] = []
+    reached = {0}
+    for x in range(n):
+        if x not in reached:
+            gens.append(x)
+            reached, stack = {0}, [0]
+            while stack:
+                a = stack.pop()
+                for g in gens:
+                    if rows[a][g] not in reached:
+                        reached.add(rows[a][g])
+                        stack.append(rows[a][g])
+    for g in gens:
+        for x in range(n):
+            left, right = rows[rows[x][g]], rows[x]
+            for y in range(n):
+                if left[y] != right[rows[g][y]]:
+                    return NotAssociativeError((x, g, y))
+    for x in range(n):
+        if not any(rows[x][y] == 0 and rows[y][x] == 0 for y in range(n)):
+            return NoInverseError("an element lacks a two-sided inverse")
+    return None
 
 
 def naive_closure(group: FiniteGroup, gens: list[int]) -> tuple[int, ...]:

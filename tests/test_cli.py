@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -13,11 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cayley
 from cayley import _fillcore, enumeration
 from cayley.cli import main
 from cayley.core import cyclic_group, symmetric_group
 from cayley.errors import BudgetExceededError, SizeCapError
 from cayley.fileformat import read_group, write_group
+from cayley.morphisms import fingerprint, fingerprint_mismatch
+
+from oracles import cached_enumeration
 
 
 @pytest.fixture()
@@ -112,6 +119,24 @@ def test_iso_negative(capsys, c6_file, s3_file):
     code, out, _ = run(capsys, ["iso", c6_file, s3_file])
     assert code == 1
     assert out.strip() == "not isomorphic: element-order multisets differ"
+
+
+def test_iso_names_the_colour_part_when_fingerprints_agree(capsys, tmp_path):
+    # The two order-16 pairs that share a fingerprint differ in their
+    # square-root counts; the colour key rejects them without a search.
+    reps = cached_enumeration(16).representatives
+    pairs = [(a, b) for i, a in enumerate(reps) for b in reps[i + 1 :]
+             if fingerprint(a) == fingerprint(b)]
+    assert len(pairs) == 2
+    for a, b in pairs:
+        assert fingerprint_mismatch(a, b) is None
+        files = [tmp_path / "a.cayley", tmp_path / "b.cayley"]
+        write_group(a, files[0])
+        write_group(b, files[1])
+        code, out, _ = run(capsys, ["iso", *map(str, files)])
+        assert (code, out) == (1, "not isomorphic: square-root counts differ\n")
+        code, out, _ = run(capsys, ["iso", *map(str, files), "--json"])
+        assert (code, json.loads(out)) == (1, {"isomorphic": False, "reason": "square-root counts"})
 
 
 def test_iso_positive(capsys, tmp_path, s3_file):
@@ -448,3 +473,35 @@ def test_golden_product_stdout(capsys, tmp_path, command):
         assert (code, err) == (0, ""), argv
         digest.update(out.encode())
     assert digest.hexdigest() == GOLDEN_PRODUCT_STDOUT_SHA256[command]
+
+
+# The child reports its own peak resident set: a forked child's ru_maxrss
+# on Linux starts from the parent's resident pages, so it cannot show the
+# memory of a command smaller than the process that started it.
+_PEAK_WRAPPER = """
+import runpy, sys
+try:
+    runpy.run_module("cayley.cli", run_name="__main__", alter_sys=True)
+finally:
+    with open("/proc/self/status") as status:
+        print(next(line for line in status if line.startswith("VmHWM:")), end="", file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CAYLEY_STRESS"), reason="at the 4096 cap; set CAYLEY_STRESS=1 to run"
+)
+def test_construct_at_the_cap_streams_the_file(tmp_path):
+    out = tmp_path / "c4096.cayley"
+    src = str(Path(cayley.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_WRAPPER, "construct", "cyclic", "4096", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6f9155a2a30e6af61ff1f9b68e6931f5c363eadc631471994e4a2c8ae9df60a2"
+    )
+    peak_kb = int(proc.stderr.split("VmHWM:")[1].split()[0])
+    assert peak_kb < 250 * 1024

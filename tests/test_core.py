@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cayley import core
 from cayley.core import (
     MAX_ORDER,
     closure_indices,
@@ -28,6 +31,7 @@ from oracles import (
     naive_greedy_by_index,
     naive_greedy_by_order,
     naive_is_group_table,
+    reference_validation_error,
     small_group_corpus,
 )
 
@@ -137,6 +141,7 @@ def test_validator_matches_oracle_on_every_reduced_latin_square():
     for n in range(1, 7):
         for rows in _reduced_latin_squares(n):
             squares += 1
+            _assert_same_verdict(rows)
             if naive_is_group_table(rows):
                 groups += 1
                 assert from_table(n, rows).order == n
@@ -161,6 +166,98 @@ def test_light_criterion_rejects_large_nonassociative_loop():
         with pytest.raises(NotAssociativeError) as excinfo:
             from_table(n, rows)
         _assert_generator_witness(rows, excinfo)
+
+
+def _assert_same_verdict(rows):
+    """from_table raises what the axioms checked one by one would raise:
+    the same error class, message and associativity witness."""
+    expected = reference_validation_error(rows)
+    try:
+        from_table(len(rows), rows)
+    except Exception as exc:  # compared against the reference below
+        assert expected is not None, (rows, exc)
+        assert (type(exc), str(exc)) == (type(expected), str(expected)), rows
+        assert getattr(exc, "triple", None) == getattr(expected, "triple", None)
+    else:
+        assert expected is None, (rows, expected)
+
+
+def _perturbations(rows):
+    """Every one-cell edit (to each value from -1 to n), and every swap of
+    two rows or two columns, whole or outside the identity's row and
+    column."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            for v in range(-1, n + 1):
+                if v != rows[i][j]:
+                    edited = [row[:] for row in rows]
+                    edited[i][j] = v
+                    yield edited
+    for first in (0, 1):
+        for i in range(first, n):
+            for k in range(i + 1, n):
+                swapped = [row[:] for row in rows]
+                swapped[i][first:], swapped[k][first:] = rows[k][first:], rows[i][first:]
+                yield swapped
+                swapped = [row[:] for row in rows]
+                for row in swapped[first:]:
+                    row[i], row[k] = row[k], row[i]
+                yield swapped
+
+
+def test_validation_verdicts_match_the_axioms_in_order():
+    tables = [g.table.tolist() for g in small_group_corpus(10)] + [NONASSOCIATIVE_LOOP]
+    for rows in tables:
+        _assert_same_verdict(rows)
+        for perturbed in _perturbations(rows):
+            _assert_same_verdict(perturbed)
+
+
+def test_associativity_witness_past_the_first_block():
+    # C_260 x C_2 (element 2i + s), with the intercalate in rows 518-519 and
+    # columns 2-3 switched: still Latin, no longer associative, and every
+    # failing row lies beyond the first block of rows that the check compares.
+    m = 260
+    n = 2 * m
+    a = np.arange(n)
+    table = 2 * ((a[:, None] // 2 + a[None, :] // 2) % m) + (a[:, None] % 2 ^ a[None, :] % 2)
+    table[n - 2 :, 2:4] = table[n - 2 :, 2:4][:, ::-1].copy()
+    rows = table.tolist()
+    expected = reference_validation_error(rows)
+    assert isinstance(expected, NotAssociativeError)
+    assert expected.triple[0] >= core._BLOCK_ENTRIES // n
+    _assert_same_verdict(rows)
+
+
+def test_too_many_greedy_generators_skips_the_light_check(monkeypatch):
+    # A monoid that is no group: x * y = x for x != 0. It is associative and
+    # every element outside the closure so far is a new greedy generator, so
+    # Light's criterion over all n - 1 of them would take O(n^3); a group has
+    # at most log2(n), and the validator goes straight to the Latin checks.
+    n = 1024
+    table = np.repeat(np.arange(n, dtype=np.int32)[:, None], n, axis=1)
+    table[0] = np.arange(n)
+    calls = []
+    monkeypatch.setattr(
+        core, "_associativity_witness", lambda t, gens: calls.append(gens)
+    )
+    with pytest.raises(NotLatinError, match="^row 1 repeats an entry$"):
+        from_table(n, table)
+    assert calls == []
+
+
+def test_from_table_peak_memory_stays_under_two_tables():
+    # The int32 copy is one table; every validation pass works in blocks.
+    table = np.array(cyclic_group(1024).table)
+    tracemalloc.start()
+    try:
+        group = from_table(1024, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.order == 1024
+    assert peak < 2 * table.nbytes
 
 
 def test_element_indices_are_range_checked(c6):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import io
+import tracemalloc
+
 import pytest
 
 from cayley.core import cyclic_group, symmetric_group
@@ -119,3 +122,20 @@ def test_symmetric_group_round_trip(tmp_path):
     path = tmp_path / "s4.cayley"
     write_group(g, path)
     assert read_group(path) == g
+
+
+def test_write_group_streams_a_row_at_a_time(tmp_path):
+    g = cyclic_group(1024)
+    path = tmp_path / "c1024.cayley"
+    tracemalloc.start()
+    try:
+        write_group(g, path, ["streamed"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    text = write_group_text(g, ["streamed"])
+    assert path.read_text(encoding="ascii") == text
+    stream = io.StringIO()
+    write_group(g, stream, ["streamed"])
+    assert stream.getvalue() == text
