@@ -28,21 +28,8 @@ from .errors import (
     NotPrimeError,
     UnsupportedOrderError,
 )
-from .morphisms import (
-    Hom,
-    Iso,
-    automorphism_group,
-    cyclic_hom,
-    iso_from_forward,
-    trivial_hom,
-)
-from .products import (
-    ProductGroup,
-    cyclic_power_semidirect,
-    direct_product,
-    sdp_congr,
-    semidirect_product,
-)
+from .morphisms import Hom, Iso, cyclic_hom, iso_from_forward
+from .products import ProductGroup, cyclic_power_semidirect, direct_product, sdp_congr
 from .recognition import internal_semidirect
 from .subgroups import (
     distinct_subgroups_of_order,
@@ -123,7 +110,12 @@ class SemidirectResult(ClassificationResult):
     p: int = 0
     q: int = 0
     k: int = 0
-    phi: Hom | None = None
+    product: ProductGroup | None = None
+
+    @property
+    def phi(self) -> Hom:
+        """The canonical action of C_p on C_q, into the carrier of Aut(C_q)."""
+        return self.product.phi
 
     @property
     def kind(self) -> str:
@@ -201,7 +193,7 @@ def _classify_noncyclic(g: FiniteGroup, p: int, q: int) -> ClassificationResult:
         iso = witness.iso.then(bridge)
         if p == q:
             return ElementaryAbelianResult(iso=iso, p=p)
-        return SemidirectResult(iso=iso, p=p, q=q, k=k, phi=target.phi)
+        return SemidirectResult(iso=iso, p=p, q=q, k=k, product=target)
     raise AssertionError("no compatible factor isomorphism; nontrivial actions "
                          "of C_p on C_q should be conjugate")
 
@@ -231,12 +223,9 @@ def express_as_semidirect(g: FiniteGroup, p: int, q: int) -> tuple[Hom, Iso]:
     if not g.is_cyclic():
         result = _classify_noncyclic(g, p, q)
         return result.phi, result.iso
-    cq = cyclic_group(q)
-    cp = cyclic_group(p)
-    phi = trivial_hom(cp, automorphism_group(cq).carrier)
-    product = semidirect_product(cq, cp, phi)
+    product = direct_product(cyclic_group(q), cyclic_group(p))
     iso = iso_from_forward(cyclic_hom(g, product.group, product.pair_index(1, 1)))
-    return phi, iso
+    return product.phi, iso
 
 
 def verify_uniqueness(g1: FiniteGroup, g2: FiniteGroup) -> Iso:

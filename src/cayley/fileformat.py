@@ -3,8 +3,8 @@
 Layout: optional comment lines starting with '#' anywhere; the first
 non-comment line holds the decimal order n; the next n non-comment lines
 each hold exactly n space-separated decimal indices; a trailing newline is
-mandatory. Element 0 must be the identity. Any deviation raises ParseError
-with the offending line number.
+mandatory. Element 0 must be the identity, and n may not exceed MAX_ORDER.
+Any deviation raises ParseError with the offending line number.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .core import FiniteGroup, from_table
+import numpy as np
+
+from .core import MAX_ORDER, FiniteGroup, from_table
 from .errors import ParseError
 
 
@@ -34,16 +36,28 @@ def _parse_row(line: str, lineno: int, n: int) -> list[int]:
     return row
 
 
+def _text_lines(text: str) -> Iterator[str]:
+    """The lines of text, which ends with "\n", one at a time and without
+    their "\n" and one "\r" before it, so that CRLF files parse. Unlike
+    str.splitlines, no other character ends a line."""
+    start = 0
+    while start < len(text):
+        end = text.index("\n", start)
+        yield text[start:end].removesuffix("\r")
+        start = end + 1
+
+
 def read_group_text(text: str) -> FiniteGroup:
-    """Parse the text of a Cayley-table file into a validated group."""
+    """Parse the text of a Cayley-table file into a validated group, each
+    row straight into a preallocated int32 table."""
     if not text.isascii():
         raise ParseError(1, "file is not ASCII")
     if not text.endswith("\n"):
         raise ParseError(max(1, text.count("\n") + 1), "missing trailing newline")
     order: int | None = None
-    rows: list[list[int]] = []
+    table: np.ndarray | None = None
     row_lines: list[int] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_text_lines(text), start=1):
         if line.startswith("#"):
             continue
         if order is None:
@@ -52,22 +66,26 @@ def read_group_text(text: str) -> FiniteGroup:
             order = int(line)
             if order < 1:
                 raise ParseError(lineno, "order must be at least 1")
+            if order > MAX_ORDER:
+                raise ParseError(lineno, f"order {order} exceeds the cap of {MAX_ORDER}")
+            table = np.empty((order, order), dtype=np.int32)
             continue
-        if len(rows) == order:
+        if len(row_lines) == order:
             raise ParseError(lineno, "unexpected content after the table")
-        rows.append(_parse_row(line, lineno, order))
+        table[len(row_lines)] = _parse_row(line, lineno, order)
         row_lines.append(lineno)
     last = text.count("\n")
     if order is None:
         raise ParseError(last + 1, "missing order line")
-    if len(rows) < order:
-        raise ParseError(last + 1, f"expected {order} rows, found {len(rows)}")
-    if rows[0] != list(range(order)):
+    if len(row_lines) < order:
+        raise ParseError(last + 1, f"expected {order} rows, found {len(row_lines)}")
+    identity = np.arange(order)
+    if (table[0] != identity).any():
         raise ParseError(row_lines[0], "element 0 is not a left identity")
-    for i in range(order):
-        if rows[i][0] != i:
-            raise ParseError(row_lines[i], "element 0 is not a right identity")
-    return from_table(order, rows)
+    not_right = np.flatnonzero(table[:, 0] != identity)
+    if not_right.size:
+        raise ParseError(row_lines[not_right[0]], "element 0 is not a right identity")
+    return from_table(order, table)
 
 
 def read_group(source: str | Path | IO[str]) -> FiniteGroup:

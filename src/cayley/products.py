@@ -1,17 +1,19 @@
 """External direct and semidirect products with canonical embeddings.
 
 Pairs (n, h) are packed as index n * |H| + h, so the identity lands at 0
-and product tables are reproducible. The action of a semidirect product is
-supplied as a homomorphism into the carrier of Aut(N), which the product
-looks up itself (automorphism_group is cached on N); the indexed
-automorphism family recovers the actual permutations. sdp_congr is the one
+and product tables are reproducible. A product keeps its action as the
+(|H|, |N|) array of permutations of N: row h is the automorphism by which
+h acts, and a direct product's rows are the identity. The homomorphism phi
+into the carrier of Aut(N) is read off those rows only when asked for, so
+building a product searches no automorphism group. sdp_congr is the one
 builder of pair maps (n, h) -> (f1 n, f2 h) between products.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,11 +25,9 @@ from .errors import (
     SizeCapError,
 )
 from .morphisms import (
-    AutGroup,
     Hom,
     Iso,
     automorphism_group,
-    cyclic_hom,
     identity_iso,
     iso_from_forward,
     make_hom,
@@ -38,13 +38,13 @@ from .subgroups import Subgroup, subgroup_from_members
 
 @dataclass(frozen=True)
 class ProductGroup:
-    """A direct or semidirect product, with the pairing made explicit."""
+    """A direct or semidirect product, with the pairing made explicit.
+    perms[h] is the permutation of N by which h acts."""
 
     group: FiniteGroup
     n_factor: FiniteGroup
     h_factor: FiniteGroup
-    phi: Hom | None
-    aut: AutGroup | None
+    perms: np.ndarray = field(compare=False, repr=False)
     embed_n: Hom
     embed_h: Hom
     canonical_n: Subgroup
@@ -58,19 +58,18 @@ class ProductGroup:
 
     def action(self, h: int, n: int) -> int:
         """Apply the twisting automorphism of h to n (identity for direct)."""
-        h, n = self.h_factor._element(h), self.n_factor._element(n)
-        if self.phi is None or self.aut is None:
-            return n
-        return self.aut.perms[self.phi.map[h]][n]
+        return int(self.perms[self.h_factor._element(h), self.n_factor._element(n)])
+
+    @functools.cached_property
+    def phi(self) -> Hom:
+        """The action as a homomorphism into the carrier of Aut(N)."""
+        aut = automorphism_group(self.n_factor)
+        images = tuple(aut.auto_index(tuple(row)) for row in self.perms.tolist())
+        return Hom(self.h_factor, aut.carrier, images)
 
 
-def _assemble(
-    n_grp: FiniteGroup,
-    h_grp: FiniteGroup,
-    action_perms: list[np.ndarray],
-    phi: Hom | None,
-    aut: AutGroup | None,
-) -> ProductGroup:
+def _assemble(n_grp: FiniteGroup, h_grp: FiniteGroup, perms: np.ndarray) -> ProductGroup:
+    """The product N x| H in which h acts on N by the permutation perms[h]."""
     nn, nh = n_grp.order, h_grp.order
     size = nn * nh
     if size > MAX_ORDER:
@@ -79,22 +78,21 @@ def _assemble(
     table = np.empty((size, size), dtype=np.int32)
     for n1 in range(nn):
         for h1 in range(nh):
-            acted = tn[n1, action_perms[h1]]
+            acted = tn[n1, perms[h1]]
             table[n1 * nh + h1] = (acted[:, None] * nh + th[h1][None, :]).reshape(-1)
     group = from_table(size, table)
     embed_n = make_hom(n_grp, group, [n * nh for n in range(nn)])
     embed_h = make_hom(h_grp, group, list(range(nh)))
     canonical_n = subgroup_from_members(group, embed_n.map)
     canonical_h = subgroup_from_members(group, embed_h.map)
-    return ProductGroup(
-        group, n_grp, h_grp, phi, aut, embed_n, embed_h, canonical_n, canonical_h
-    )
+    perms.setflags(write=False)
+    return ProductGroup(group, n_grp, h_grp, perms, embed_n, embed_h, canonical_n, canonical_h)
 
 
 def direct_product(n_grp: FiniteGroup, h_grp: FiniteGroup) -> ProductGroup:
     """Componentwise multiplication on pairs; both factors embed normally."""
     ident = np.arange(n_grp.order, dtype=np.int32)
-    return _assemble(n_grp, h_grp, [ident] * h_grp.order, None, None)
+    return _assemble(n_grp, h_grp, np.broadcast_to(ident, (h_grp.order, n_grp.order)))
 
 
 def semidirect_product(n_grp: FiniteGroup, h_grp: FiniteGroup, phi: Hom) -> ProductGroup:
@@ -105,12 +103,12 @@ def semidirect_product(n_grp: FiniteGroup, h_grp: FiniteGroup, phi: Hom) -> Prod
         raise InvalidActionError("action homomorphism source is not the H factor")
     if phi.target != aut.carrier:
         raise InvalidActionError("action homomorphism does not land in Aut(N)")
-    perms = [np.array(aut.perms[phi.map[h]], dtype=np.int32) for h in range(h_grp.order)]
-    return _assemble(n_grp, h_grp, perms, phi, aut)
+    return _assemble(n_grp, h_grp, np.array([aut.perms[a] for a in phi.map], dtype=np.int32))
 
 
 def cyclic_power_semidirect(q: int, p: int, k: int) -> ProductGroup:
-    """C_q x| C_p with the generator of C_p acting on C_q as r -> r^k."""
+    """C_q x| C_p with the generator of C_p acting on C_q as r -> r^k, so
+    that j acts as r -> r^(k^j)."""
     if q < 1 or p < 1:
         raise InvalidActionError("factor orders must be positive")
     if q * p > MAX_ORDER:
@@ -119,10 +117,9 @@ def cyclic_power_semidirect(q: int, p: int, k: int) -> ProductGroup:
         raise InvalidActionError(f"k must lie in 1..{q - 1} and be coprime to {q}")
     if pow(k, p, q) != 1:
         raise InvalidActionError(f"k^p = {k}^{p} is not 1 modulo {q}")
-    cq, cp = cyclic_group(q), cyclic_group(p)
-    aut = automorphism_group(cq)
-    phi = cyclic_hom(cp, aut.carrier, aut.auto_index(tuple(k * x % q for x in range(q))))
-    return semidirect_product(cq, cp, phi)
+    powers = np.array([pow(k, j, q) for j in range(p)], dtype=np.int64)
+    perms = (powers[:, None] * np.arange(q) % q).astype(np.int32)
+    return _assemble(cyclic_group(q), cyclic_group(p), perms)
 
 
 def sdp_trivial_iso_direct(n_grp: FiniteGroup, h_grp: FiniteGroup) -> Iso:
@@ -139,18 +136,16 @@ def sdp_congr(f1: Iso, f2: Iso, source: ProductGroup, target: ProductGroup) -> I
 
     Each product carries its own action (the identity for a direct
     product), and the map is an isomorphism exactly when the actions are
-    compatible: action2(f2 h)(f1 n) = f1(action1(h) n) for all n, h. The
-    loop that builds the map checks this, raising IncompatibleActionError
-    with the first failing pair (n, h)."""
+    compatible: action2(f2 h)(f1 n) = f1(action1(h) n) for all n, h. Both
+    sides are gathered over all pairs at once; IncompatibleActionError
+    names the first failing pair (n, h), n-major."""
     factors = (source.n_factor, source.h_factor, target.n_factor, target.h_factor)
     if (f1.source, f2.source, f1.target, f2.target) != factors:
         raise MismatchedParentError("factor isomorphisms do not match the products' factors")
-    mapping = [0] * source.group.order
-    for n1 in range(source.n_factor.order):
-        n2 = f1.apply(n1)
-        for h1 in range(source.h_factor.order):
-            h2 = f2.apply(h1)
-            if target.action(h2, n2) != f1.apply(source.action(h1, n1)):
-                raise IncompatibleActionError((n1, h1))
-            mapping[source.pair_index(n1, h1)] = target.pair_index(n2, h2)
-    return iso_from_forward(make_hom(source.group, target.group, mapping))
+    m1, m2 = np.array(f1.forward.map), np.array(f2.forward.map)
+    bad = target.perms[m2[None, :], m1[:, None]] != m1[source.perms.T]
+    if bad.any():
+        n1, h1 = map(int, np.argwhere(bad)[0])
+        raise IncompatibleActionError((n1, h1))
+    mapping = m1[:, None] * target.h_factor.order + m2[None, :]
+    return iso_from_forward(make_hom(source.group, target.group, mapping.reshape(-1)))

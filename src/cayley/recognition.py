@@ -1,8 +1,9 @@
 """Internal product recognition: given subgroups satisfying the lattice
 hypotheses, produce the conjugation action, the external product, and an
-explicit isomorphism onto it. The action lands in the carrier of Aut(N),
-which the external product looks up again from the same promoted N
-(automorphism_group is cached on the group, so the search runs once).
+explicit isomorphism onto it. The action is the permutations of N by which
+the elements of H conjugate, handed to the product as they are; the
+homomorphism into the carrier of Aut(N) is derived from them only when a
+witness's phi is read.
 
 The factorization g = n * h is inverted by tabulating the products over
 N x H: injectivity of that map is exactly the trivial-meet hypothesis and
@@ -12,20 +13,15 @@ doubles as a constructive check of the hypotheses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+import numpy as np
+
+from . import products
 from .core import FiniteGroup
 from .errors import JoinNotFullError, MeetNotTrivialError, NotNormalError
-from .morphisms import (
-    Hom,
-    Iso,
-    automorphism_group,
-    conjugation_perm,
-    identity_iso,
-    iso_from_forward,
-    make_hom,
-)
-from .products import ProductGroup, direct_product, semidirect_product
+from .morphisms import Hom, Iso, conjugation_perm, identity_iso, iso_from_forward, make_hom
+from .products import ProductGroup, direct_product
 from .subgroups import Subgroup, as_group, is_normal, join, meet
 
 
@@ -33,29 +29,32 @@ from .subgroups import Subgroup, as_group, is_normal, join, meet
 class DecompositionWitness:
     """Output of internal product recognition.
 
-    phi is the conjugation action actually used; iso maps the ambient group
-    (or the promoted join, for the join variant) onto product.group.
-    join_embedding is set by the join variant and maps the iso's source
-    indices back to the original parent group.
+    product acts by conjugation; iso maps the ambient group (or the promoted
+    join, for the join variant) onto product.group. join_embedding is set
+    by the join variant and maps the iso's source indices back to the
+    original parent group.
     """
 
-    phi: Hom
     product: ProductGroup
     iso: Iso
     join_embedding: tuple[int, ...] | None = None
+
+    @property
+    def phi(self) -> Hom:
+        """The conjugation action as a homomorphism into Aut(N)."""
+        return self.product.phi
 
 
 def _factor_witness(g: FiniteGroup, n: Subgroup, h: Subgroup) -> DecompositionWitness:
     """Shared factorization core; hypotheses are already checked."""
     promoted_n = as_group(n)
     promoted_h = as_group(h)
-    aut = automorphism_group(promoted_n.group)
-    phi_map = [
-        aut.auto_index(conjugation_perm(g, promoted_n, h_elem))
-        for h_elem in promoted_h.embed
-    ]
-    phi = make_hom(promoted_h.group, aut.carrier, phi_map)
-    product = semidirect_product(promoted_n.group, promoted_h.group, phi)
+    perms = [conjugation_perm(g, promoted_n, h_elem) for h_elem in promoted_h.embed]
+    # Through the module, so that a wrapper set on products._assemble sees
+    # every product built.
+    product = products._assemble(
+        promoted_n.group, promoted_h.group, np.array(perms, dtype=np.int32)
+    )
     mapping = [-1] * g.order
     for ni, n_elem in enumerate(promoted_n.embed):
         for hi, h_elem in enumerate(promoted_h.embed):
@@ -66,7 +65,7 @@ def _factor_witness(g: FiniteGroup, n: Subgroup, h: Subgroup) -> DecompositionWi
     if any(v == -1 for v in mapping):
         raise JoinNotFullError("products n*h do not cover the group")
     iso = iso_from_forward(make_hom(g, product.group, mapping))
-    return DecompositionWitness(phi, product, iso)
+    return DecompositionWitness(product, iso)
 
 
 def internal_semidirect(g: FiniteGroup, n: Subgroup, h: Subgroup) -> DecompositionWitness:
@@ -97,9 +96,7 @@ def internal_semidirect_join(
     inner_n = Subgroup(promoted_j.group, tuple(promoted_j.section[x] for x in n.members))
     inner_h = Subgroup(promoted_j.group, tuple(promoted_j.section[x] for x in h.members))
     witness = _factor_witness(promoted_j.group, inner_n, inner_h)
-    return DecompositionWitness(
-        witness.phi, witness.product, witness.iso, join_embedding=promoted_j.embed
-    )
+    return replace(witness, join_embedding=promoted_j.embed)
 
 
 def internal_direct(g: FiniteGroup, n: Subgroup, h: Subgroup) -> Iso:
@@ -111,7 +108,7 @@ def internal_direct(g: FiniteGroup, n: Subgroup, h: Subgroup) -> Iso:
     if not is_normal(h):
         raise NotNormalError("H")
     witness = internal_semidirect(g, n, h)
-    if not witness.phi.is_trivial():
+    if (witness.product.perms != np.arange(witness.product.n_factor.order)).any():
         # Both factors normal with trivial meet force elementwise commuting.
         raise NotNormalError("N")
     direct = direct_product(witness.product.n_factor, witness.product.h_factor)

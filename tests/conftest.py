@@ -26,6 +26,23 @@ def klein():
     return direct_product(cyclic_group(2), cyclic_group(2)).group
 
 
+@pytest.fixture
+def image_searches(monkeypatch):
+    """The find_all flag of each generator-image search (isomorphism or
+    automorphism group) that runs while the test runs."""
+    from cayley import morphisms
+
+    calls = []
+    search = morphisms._image_search
+
+    def counted(g1, g2, gens, *, find_all):
+        calls.append(find_all)
+        return search(g1, g2, gens, find_all=find_all)
+
+    monkeypatch.setattr(morphisms, "_image_search", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory):
     """The C kernel, freshly built by setup.py into a temporary directory."""

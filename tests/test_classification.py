@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import os
 
+import numpy as np
 import pytest
 
 from cayley.classification import (
@@ -28,7 +31,8 @@ from cayley.errors import (
 )
 from cayley.morphisms import automorphism_group, find_isomorphism, homs_to_aut
 from cayley.products import direct_product, semidirect_product
-from cayley.subgroups import is_prime
+from cayley.recognition import internal_semidirect
+from cayley.subgroups import distinct_subgroups_of_order, is_prime, subgroup_of_order
 
 from oracles import is_multiplicative, relabel_seeded
 
@@ -243,6 +247,47 @@ def test_classify_builds_two_products(monkeypatch):
         builds.clear()
         classify(g)
         assert len(builds) == 2, g.order
+
+
+def test_classify_searches_no_automorphisms(image_searches):
+    groups = [
+        relabel_seeded(g, 3)
+        for p, q in [(5, 5), (3, 7), (3, 103)]
+        for g in (cyclic_group(p * q), canonical_noncyclic(p, q))
+    ]
+    for g in groups:
+        classify(g)
+    assert image_searches == []
+
+
+# sha256 over the witness maps of classify and the internal_semidirect
+# product tables for both groups of every p^2 / pq order from 4 to 309, each
+# relabelled under two seeds.
+CLASSIFY_WITNESS_DIGEST = "a4c8627a68595c6c137ff8d901c0a63d06253603da83f6bbb8189bbcd38aa0a9"
+
+
+def test_classification_witnesses_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(4, 310):
+        shape = order_shape(n)
+        if shape.kind == "unsupported":
+            continue
+        p, q = shape.p, shape.q
+        groups = [cyclic_group(n)]
+        if noncyclic_exists(p, q):
+            groups.append(canonical_noncyclic(p, q))
+        for g, seed in itertools.product(groups, (1, 2)):
+            h = relabel_seeded(g, seed)
+            digest.update(repr(classify(h).iso.forward.map).encode())
+            if p == q and h.is_cyclic():
+                continue  # one subgroup of order p: no internal product
+            if p == q:
+                pair = distinct_subgroups_of_order(h, p)
+            else:
+                pair = (subgroup_of_order(h, q), subgroup_of_order(h, p))
+            table = internal_semidirect(h, *pair).product.group.table
+            digest.update(np.ascontiguousarray(table, dtype=np.int32).tobytes())
+    assert digest.hexdigest() == CLASSIFY_WITNESS_DIGEST
 
 
 def test_verify_theorem_small():

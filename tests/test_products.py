@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import pytest
 
-from cayley import morphisms
 from cayley.core import cyclic_group
 from cayley.errors import (
     IncompatibleActionError,
@@ -13,6 +12,7 @@ from cayley.errors import (
 from cayley.morphisms import (
     automorphism_group,
     conj_normal,
+    cyclic_hom,
     find_isomorphism,
     homs_to_aut,
     identity_iso,
@@ -124,18 +124,46 @@ def test_product_indices_are_range_checked():
     assert (dp.pair_index(1, 2), dp.unpair(5)) == (5, (1, 2))
 
 
-def test_cyclic_power_semidirect_searches_aut_once(monkeypatch):
-    calls = []
-    search = morphisms._image_search
-
-    def counted(g1, g2, gens, *, find_all):
-        calls.append(find_all)
-        return search(g1, g2, gens, find_all=find_all)
-
-    monkeypatch.setattr(morphisms, "_image_search", counted)
+def test_cyclic_power_semidirect_searches_aut_once(image_searches):
     sdp = cyclic_power_semidirect(7, 3, 2)
-    assert calls == [True]
-    assert automorphism_group(sdp.n_factor) is sdp.aut
+    assert image_searches == []
+    assert sdp.phi is sdp.phi
+    assert image_searches == [True]
+    assert sdp.phi.target is automorphism_group(sdp.n_factor).carrier
+
+
+def test_products_search_no_automorphisms(image_searches):
+    k = next(k for k in range(2, 97) if pow(k, 3, 97) == 1)
+    sdp = cyclic_power_semidirect(97, 3, k)
+    dp = direct_product(cyclic_group(97), cyclic_group(3))
+    sdp_congr(identity_iso(sdp.n_factor), identity_iso(sdp.h_factor), sdp, sdp)
+    sdp_congr(identity_iso(dp.n_factor), identity_iso(dp.h_factor), dp, dp)
+    assert image_searches == []
+
+
+@pytest.mark.parametrize("n,p_order", [(3, 2), (5, 4), (7, 3), (7, 6), (9, 3), (13, 4)])
+def test_semidirect_product_phi_is_the_given_action(n, p_order):
+    base, acting = cyclic_group(n), cyclic_group(p_order)
+    for phi in homs_to_aut(acting, automorphism_group(base)):
+        sdp = semidirect_product(base, acting, phi)
+        assert sdp.phi.map == phi.map
+        assert sdp.phi.target == phi.target
+
+
+@pytest.mark.parametrize("q,p,k", [(3, 2, 2), (7, 3, 2), (7, 3, 4), (13, 4, 5), (97, 3, 35)])
+def test_cyclic_power_semidirect_phi_sends_the_generator_to_r_to_the_k(q, p, k):
+    sdp = cyclic_power_semidirect(q, p, k)
+    aut = automorphism_group(sdp.n_factor)
+    r_to_the_k = aut.auto_index(tuple(k * x % q for x in range(q)))
+    assert sdp.phi.map == cyclic_hom(sdp.h_factor, aut.carrier, r_to_the_k).map
+    assert all(sdp.action(j, 1) == pow(k, j, q) for j in range(p))
+
+
+def test_direct_product_phi_is_trivial(s3):
+    for n_grp, h_grp in [(cyclic_group(5), cyclic_group(3)), (s3, cyclic_group(2)), (s3, s3)]:
+        dp = direct_product(n_grp, h_grp)
+        assert dp.phi.is_trivial()
+        assert dp.phi.target is automorphism_group(n_grp).carrier
 
 
 def test_sdp_trivial_iso_direct():
@@ -186,6 +214,23 @@ def test_sdp_congr_rejects_with_witness():
         sdp_congr(ident7, ident3, sdp1, sdp2)
     n1, h1 = excinfo.value.pair
     assert sdp2.action(h1, n1) != sdp1.action(h1, n1)
+    assert (n1, h1) == (1, 1)
+
+
+def test_sdp_congr_reports_the_first_failing_pair_n_major():
+    # N = H = C2 x C2. The source's h in {2, 3} swaps 1 and 2 in N, the
+    # target's swaps 2 and 3, and f2 swaps 1 and 2 in H. The failing pairs
+    # are (1, 2), (1, 3), (2, 1), ...: n-major order reports (1, 2), where
+    # h-major order would report (2, 1).
+    n_grp = h_grp = direct_product(cyclic_group(2), cyclic_group(2)).group
+    aut = automorphism_group(n_grp)
+    swap12, swap23 = aut.auto_index((0, 2, 1, 3)), aut.auto_index((0, 1, 3, 2))
+    source = semidirect_product(n_grp, h_grp, make_hom(h_grp, aut.carrier, [0, 0, swap12, swap12]))
+    target = semidirect_product(n_grp, h_grp, make_hom(h_grp, aut.carrier, [0, 0, swap23, swap23]))
+    f2 = iso_from_forward(make_hom(h_grp, h_grp, [0, 2, 1, 3]))
+    with pytest.raises(IncompatibleActionError) as excinfo:
+        sdp_congr(identity_iso(n_grp), f2, source, target)
+    assert excinfo.value.pair == (1, 2)
 
 
 def test_sdp_congr_needs_the_products_factors():
@@ -194,8 +239,9 @@ def test_sdp_congr_needs_the_products_factors():
     with pytest.raises(MismatchedParentError):
         sdp_congr(ident3, ident7, sdp, sdp)
     dp = direct_product(cyclic_group(7), cyclic_group(3))
-    with pytest.raises(IncompatibleActionError):
+    with pytest.raises(IncompatibleActionError) as excinfo:
         sdp_congr(ident7, ident3, sdp, dp)
+    assert excinfo.value.pair == (1, 1)
     assert sdp_congr(ident7, ident3, dp, dp).forward.map == tuple(range(21))
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cayley.core import cyclic_group
+from cayley.core import cyclic_group, symmetric_group
 from cayley.errors import JoinNotFullError, MeetNotTrivialError, NotNormalError
 from cayley.morphisms import (
     automorphism_group,
@@ -88,6 +88,16 @@ def test_internal_direct_builds_two_products(monkeypatch, c6):
     monkeypatch.setattr(products, "_assemble", lambda *args: builds.append(1) or assemble(*args))
     internal_direct(c6, n, h).validate()
     assert len(builds) == 2
+
+
+def test_recognition_searches_no_automorphisms(image_searches):
+    s3, c6 = symmetric_group(3), cyclic_group(6)
+    witness = internal_semidirect(s3, subgroup_of_order(s3, 3), subgroup_of_order(s3, 2))
+    internal_semidirect(c6, subgroup_of_order(c6, 3), subgroup_of_order(c6, 2))
+    internal_direct(c6, subgroup_of_order(c6, 3), subgroup_of_order(c6, 2))
+    internal_direct(c6, subgroup_of_order(c6, 2), subgroup_of_order(c6, 3))
+    assert image_searches == []
+    assert not witness.phi.is_trivial() and image_searches == [True]
 
 
 def test_join_variant_inside_bigger_group(s3):
