@@ -10,7 +10,7 @@ independent isomorphism search stays available as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .core import FiniteGroup, cyclic_group
 from .enumeration import (
@@ -279,22 +279,7 @@ class TheoremReport:
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_order": self.max_order,
-            "all_pass": self.all_pass,
-            "rows": [
-                {
-                    "order": row.order,
-                    "p": row.p,
-                    "q": row.q,
-                    "predicted": row.predicted,
-                    "oracle": row.oracle,
-                    "kinds": list(row.kinds),
-                    "passed": row.passed,
-                }
-                for row in self.rows
-            ],
-        }
+        return asdict(self)
 
 
 def verify_theorem(max_order: int, budget: int | None = None) -> TheoremReport:

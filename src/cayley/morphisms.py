@@ -355,12 +355,14 @@ def _image_search(
     h * y * h^-1 composed with conjugation by h^-1 sends it to y. A
     skipped subtree thus holds an isomorphism only if the earlier
     subtree of its class, already exhausted, held one, and the first
-    isomorphism found does not change."""
+    isomorphism found does not change.
+
+    The caller guarantees that g1 and g2 have equal colour keys, so that
+    every colour of g2 is one of g1's: find_isomorphism compares the keys
+    first, and automorphism_group searches from g to g."""
     n = g1.order
     stats1 = _element_stats(g1)
     stats2 = _element_stats(g2)
-    if _colour_key(g1) != _colour_key(g2):
-        return []
     if n == 1:
         return [(0,)]
     candidates = [
@@ -532,9 +534,12 @@ def _composition_table(
     return out
 
 
-def conjugation_perm(g: FiniteGroup, promoted: AsGroup, x: int) -> tuple[int, ...]:
-    """The permutation n -> x n x^-1 of a promoted normal subgroup."""
-    return tuple(promoted.section[g.conj(m, x)] for m in promoted.embed)
+def conjugation_perms(g: FiniteGroup, promoted: AsGroup, xs) -> np.ndarray:
+    """Row i is the permutation n -> x n x^-1 of a promoted normal subgroup,
+    for x = xs[i], in subgroup indices: one int32 (len(xs), |N|) gather."""
+    xs = np.asarray(xs, dtype=np.intp)
+    products = g.table[np.ix_(xs, promoted.embed)]
+    return promoted.section[g.table[products, g.inverse[xs][:, None]]]
 
 
 def conj_normal(g: FiniteGroup, n: Subgroup) -> Hom:
@@ -546,7 +551,8 @@ def conj_normal(g: FiniteGroup, n: Subgroup) -> Hom:
         raise NotNormalError("N")
     promoted = as_group(n)
     aut = automorphism_group(promoted.group)
-    mapping = [aut.auto_index(conjugation_perm(g, promoted, x)) for x in range(g.order)]
+    perms = conjugation_perms(g, promoted, range(g.order)).tolist()
+    mapping = [aut.auto_index(tuple(row)) for row in perms]
     return make_hom(g, aut.carrier, mapping)
 
 

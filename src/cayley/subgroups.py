@@ -166,20 +166,21 @@ def distinct_subgroups_of_order(group: FiniteGroup, p: int) -> tuple[Subgroup, S
 class AsGroup(NamedTuple):
     """A subgroup re-indexed as a standalone group.
 
-    embed maps subgroup indices to parent indices; section is the inverse map.
+    embed maps subgroup indices to parent indices; section is the inverse
+    map, an int32 array over the parent that holds -1 off the subgroup.
     """
 
     group: FiniteGroup
     embed: tuple[int, ...]
-    section: dict[int, int]
+    section: np.ndarray
 
 
 def as_group(h: Subgroup) -> AsGroup:
     """Promote a subgroup to a FiniteGroup of its own (identity stays at 0)."""
     members = h.members
-    section = {m: i for i, m in enumerate(members)}
     k = len(members)
-    section_array = np.full(h.parent.order, -1, dtype=np.int32)
-    section_array[list(members)] = np.arange(k, dtype=np.int32)
-    table = section_array[h.parent.table[np.ix_(members, members)]]
+    section = np.full(h.parent.order, -1, dtype=np.int32)
+    section[list(members)] = np.arange(k, dtype=np.int32)
+    section.setflags(write=False)
+    table = section[h.parent.table[np.ix_(members, members)]]
     return AsGroup(from_table(k, table), members, section)

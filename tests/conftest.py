@@ -43,6 +43,23 @@ def image_searches(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def product_builds(monkeypatch):
+    """The (|N|, |H|) of each product that products._assemble builds while
+    the test runs."""
+    from cayley import products
+
+    calls = []
+    assemble = products._assemble
+
+    def counted(n_grp, h_grp, perms):
+        calls.append((n_grp.order, h_grp.order))
+        return assemble(n_grp, h_grp, perms)
+
+    monkeypatch.setattr(products, "_assemble", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory):
     """The C kernel, freshly built by setup.py into a temporary directory."""

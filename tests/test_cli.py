@@ -192,11 +192,11 @@ def test_recognize_runs_one_recognizer(capsys, c6_file, monkeypatch):
 
     calls = []
 
-    def over_budget(g, promoted_n, x):
+    def over_budget(g, promoted_n, xs):
         calls.append(promoted_n.group.order)
         raise BudgetExceededError("search budget")
 
-    monkeypatch.setattr(cayley.recognition, "conjugation_perm", over_budget)
+    monkeypatch.setattr(cayley.recognition, "conjugation_perms", over_budget)
     code, out, err = run(capsys, ["recognize", c6_file, "--n", "0,2,4", "--h", "0,3"])
     assert (code, out, calls) == (1, "", [3])
     assert err == "error: BudgetExceeded: search budget\n"

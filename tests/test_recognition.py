@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from cayley.core import cyclic_group, symmetric_group
-from cayley.errors import JoinNotFullError, MeetNotTrivialError, NotNormalError
+from cayley.errors import (
+    JoinNotFullError,
+    MeetNotTrivialError,
+    MismatchedParentError,
+    NotNormalError,
+)
 from cayley.morphisms import (
     automorphism_group,
     find_isomorphism,
@@ -18,7 +24,17 @@ from cayley.recognition import (
     internal_semidirect,
     internal_semidirect_join,
 )
-from cayley.subgroups import bot, subgroup_from_members, subgroup_of_order, top
+from cayley.subgroups import (
+    bot,
+    closure,
+    is_normal,
+    join,
+    meet,
+    subgroup_from_members,
+    subgroup_of_order,
+    top,
+)
+from oracles import cached_enumeration
 
 
 def test_s3_semidirect_witness(s3):
@@ -79,15 +95,83 @@ def test_internal_direct_needs_both_normal(s3, c6):
     assert iso.target.order == 6
 
 
-def test_internal_direct_builds_two_products(monkeypatch, c6):
-    # The witness's trivial semidirect product and the direct product.
-    import cayley.products as products
-
+def test_internal_direct_builds_one_product(product_builds, c6):
+    # The witness's product has the direct product's table; none other is built.
     n, h = subgroup_from_members(c6, [0, 3]), subgroup_from_members(c6, [0, 2, 4])
-    assemble, builds = products._assemble, []
-    monkeypatch.setattr(products, "_assemble", lambda *args: builds.append(1) or assemble(*args))
     internal_direct(c6, n, h).validate()
-    assert len(builds) == 2
+    assert product_builds == [(2, 3)]
+
+
+def _small_subgroups(g):
+    """Distinct closures of at most two elements, and the whole group."""
+    found = {top(g).members: top(g)}
+    for x in range(g.order):
+        for y in range(x, g.order):
+            sub = closure(g, [x, y])
+            found.setdefault(sub.members, sub)
+    return list(found.values())
+
+
+def _expected_error(recognizer, n, h):
+    """The first failing hypothesis, in the order the recognizer checks them."""
+    if not is_normal(n):
+        return NotNormalError, "N"
+    if recognizer is internal_direct and not is_normal(h):
+        return NotNormalError, "H"
+    if not meet(n, h).is_trivial():
+        return MeetNotTrivialError, None
+    if recognizer is not internal_semidirect_join and not join(n, h).is_full():
+        return JoinNotFullError, None
+    return None, None
+
+
+def test_recognizers_check_the_hypotheses_in_order():
+    groups = [symmetric_group(3)]
+    groups += cached_enumeration(8).representatives + cached_enumeration(12).representatives
+    recognizers = (internal_semidirect, internal_semidirect_join, internal_direct)
+    calls = 0
+    for g in groups:
+        subs = _small_subgroups(g)
+        for n, h in itertools.product(subs, subs):
+            for recognizer in recognizers:
+                calls += 1
+                error, which = _expected_error(recognizer, n, h)
+                if error is not None:
+                    with pytest.raises(error) as excinfo:
+                        recognizer(g, n, h)
+                    if which is not None:
+                        assert excinfo.value.which == which
+                    continue
+                result = recognizer(g, n, h)
+                iso = result if recognizer is internal_direct else result.iso
+                iso.validate()
+                if recognizer is internal_semidirect_join:
+                    continue
+                for ni, n_elem in enumerate(n.members):
+                    for hi, h_elem in enumerate(h.members):
+                        assert iso.apply(g.mul(n_elem, h_elem)) == ni * len(h) + hi
+    assert calls == 3192
+
+
+def test_recognizers_reject_subgroups_of_another_group(s3, c6):
+    a3, t2 = subgroup_of_order(s3, 3), subgroup_of_order(s3, 2)
+    c3, c2 = subgroup_of_order(c6, 3), subgroup_of_order(c6, 2)
+    with pytest.raises(MismatchedParentError):
+        internal_semidirect(c6, a3, t2)
+    with pytest.raises(MismatchedParentError):
+        internal_semidirect_join(cyclic_group(7), a3, t2)
+    with pytest.raises(MismatchedParentError):
+        internal_direct(s3, c3, c2)
+
+
+def test_oversized_factors_fail_the_meet_by_counting(product_builds):
+    # |N| |H| = 65^2 exceeds |G| = 65, so two pairs share a product; no
+    # product past the order cap is attempted.
+    g = cyclic_group(65)
+    for recognizer in (internal_semidirect, internal_semidirect_join, internal_direct):
+        with pytest.raises(MeetNotTrivialError):
+            recognizer(g, top(g), top(g))
+    assert product_builds == []
 
 
 def test_recognition_searches_no_automorphisms(image_searches):
