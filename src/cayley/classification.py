@@ -293,11 +293,15 @@ def verify_theorem(max_order: int, budget: int | None = None) -> TheoremReport:
         )
     if budget is None:
         budget = max(max_order, DEFAULT_BUDGET)
-    shapes = [order_shape(n) for n in range(SMALLEST_VERIFIED_ORDER, max_order + 1)]
-    shapes = [shape for shape in shapes if shape.kind != "unsupported"]
     # Every order's budget and kernel limit, before the first enumeration.
-    for shape in shapes:
-        check_order_fits(shape.order, budget)
+    # Each order is checked as the walk reaches it, so the walk stops at the
+    # first order that does not fit and never runs on to max_order.
+    shapes = []
+    for n in range(SMALLEST_VERIFIED_ORDER, max_order + 1):
+        shape = order_shape(n)
+        if shape.kind != "unsupported":
+            check_order_fits(n, budget)
+            shapes.append(shape)
     rows = []
     for shape in shapes:
         n = shape.order

@@ -9,6 +9,12 @@ Latin; the Latin property is implied, and it is checked only once another
 check has failed, to name the failure. Any group object in circulation has
 passed validation.
 
+Input enters as a numpy array, taken as it is, or as nested rows. A list or
+tuple of equal-length list or tuple rows whose entries are ints in 0..255,
+the first not a bool, is read through bytes() into one uint8 buffer;
+numpy's dtype discovery on such a list costs several times more. Every
+other nested input goes through np.asarray, with the errors it gets there.
+
 Subgroup closure is a breadth-first search from the identity under right
 multiplication by the generators, reading only the generator columns of
 the table; the search grows as generators are adjoined. `greedy_generators`,
@@ -296,9 +302,38 @@ def _validate(n: int, table: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, 
     raise NotAssociativeError(triple)
 
 
+def _entries(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """The table as a numpy array, before any check of its values: nested
+    int rows through bytes() (see the module docstring), and any other
+    input, or a row that bytes() refuses (an entry outside 0..255, a float,
+    a str, a numpy bool), through np.asarray, so each rejected table keeps
+    the error it gets there."""
+    if isinstance(table, (list, tuple)) and table:
+        first = table[0]
+        if isinstance(first, (list, tuple)) and first and not isinstance(first[0], bool):
+            m = len(first)
+            if all(isinstance(row, (list, tuple)) and len(row) == m for row in table):
+                try:
+                    data = b"".join(map(bytes, table))
+                except (TypeError, ValueError):
+                    pass
+                else:
+                    return np.frombuffer(data, np.uint8).reshape(len(table), m)
+    try:
+        return np.asarray(table)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise NotClosedError("table rows are not all sequences of one length") from exc
+
+
 def from_table(order: int, table: Sequence[Sequence[int]] | np.ndarray) -> FiniteGroup:
-    """Validate an index table and wrap it as a FiniteGroup (on a copy)."""
-    arr = np.asarray(table)
+    """Validate an index table and wrap it as a FiniteGroup (on a copy).
+
+    `table` is a numpy array or nested rows. A list or tuple of
+    equal-length list or tuple rows of ints in 0..255, the first not a
+    bool, is read through bytes, not numpy's dtype discovery; any other
+    input through np.asarray, with the same errors. Ragged rows raise
+    NotClosedError."""
+    arr = _entries(table)
     if arr.ndim != 2:
         raise NotClosedError(f"table must be two-dimensional, got shape {arr.shape}")
     if arr.dtype.kind not in "iu":

@@ -80,7 +80,8 @@ def enumerate_groups(n: int, budget: int | None = None) -> EnumerationReport:
     buckets: dict[tuple, list[FiniteGroup]] = {}
     rejections = 0
     for flat in tables:
-        group = from_table(n, np.array(flat, dtype=np.int32).reshape(n, n))
+        # Kernel entries lie below HARD_ORDER_LIMIT, so each fits in a byte.
+        group = from_table(n, np.frombuffer(bytes(flat), np.uint8).reshape(n, n))
         bucket = buckets.setdefault(_colour_key(group), [])
         if any(find_isomorphism(group, rep) is not None for rep in bucket):
             rejections += 1

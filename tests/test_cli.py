@@ -5,9 +5,11 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -393,6 +395,72 @@ def test_cli_fuzz_exits_cleanly(data, n, h):
         ]
         for argv in runs:
             assert _exit_code(argv) in {0, 1, 2, 3}, argv
+
+
+# Numeric flag values: small, at a limit of the library (the smallest
+# verified order, the default budget, the kernel's order limit, the size
+# cap, the int64 range), negative and astronomically large. A value is left
+# out of a flag where it starts long work rather than a limit check:
+# `verify --max 64` and `enumerate 64` run the oracle's largest search,
+# `enumerate 16` takes most of a second on the pure kernel, and an
+# order-4096 `construct` prints a 4096 x 4096 table.
+_LIMITS = [-(2**63), -1, 0, 1, 3, 4, 16, 17, 64, 65, 4096, 4097, 2**31, 2**63]
+_astronomical = st.one_of(st.sampled_from([10**20, 10**100]), st.integers(10**6, 10**30))
+
+
+@st.composite
+def _numeric_argv(draw):
+    def value(small, *skip):
+        limits = st.sampled_from([v for v in _LIMITS if v not in skip])
+        return str(draw(st.one_of(small, limits, _astronomical)))
+
+    command = draw(st.sampled_from(["verify", "enumerate", "cyclic", "sdp"]))
+    if command == "cyclic":
+        return ["construct", "cyclic", value(st.integers(-3, 64), 4096)]
+    if command == "sdp":
+        small = st.integers(-2, 13)
+        return ["construct", "sdp", value(small, 64, 4096), value(small, 64, 4096),
+                "--k", value(small)]
+    if command == "verify":
+        argv = ["verify", "--max", value(st.integers(-3, 20), 64)]
+    else:
+        argv = ["enumerate", value(st.integers(-3, 15), 16, 64)]
+    if draw(st.booleans()):
+        argv += ["--budget", value(st.integers(-3, 20))]
+    return argv
+
+
+class _Overrun(Exception):
+    """A CLI run that outlasted its wall-clock bound."""
+
+
+def _bounded_exit_code(argv: list[str], seconds: float) -> int:
+    """_exit_code, failing with _Overrun once `seconds` of wall clock pass."""
+
+    def expire(signum, frame):
+        raise _Overrun(f"{argv} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return _exit_code(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_numeric_argv())
+def test_cli_numeric_flags_exit_cleanly_and_promptly(argv):
+    assert _bounded_exit_code(argv, 2.0) in {0, 1, 2, 3}, argv
+
+
+def test_verify_limit_check_does_not_grow_with_max(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["verify", "--max", str(10**20)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == "error: BudgetExceeded: kernel supports orders up to 64\n"
 
 
 # sha256 of stdout for two fixed invocations: identical invocations must

@@ -88,6 +88,117 @@ def test_table_entries_must_be_integers_below_the_cap():
     assert from_table(2, np.array([[0, 1], [1, 0]], dtype=np.uint8)) == cyclic_group(2)
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, 1], [1]],
+        ((0, 1), (1,)),
+        [[0, 1], 2],
+        [[True, False], [False]],
+        [[0.0, 1], [1]],
+        [[[0], [1]], [[1], [0, 1]]],
+    ],
+)
+def test_ragged_rows_are_a_named_shape_fault(table):
+    # Int rows fail the byte path's length check and bool or float rows skip
+    # it; both reach np.asarray, which names the same fault for each.
+    with pytest.raises(NotClosedError, match="^table rows are not all sequences of one length$"):
+        from_table(2, table)
+
+
+def _from_table_outcome(order, table):
+    """The accepted table and generators, or the error class and message."""
+    try:
+        g = from_table(order, table)
+    except Exception as exc:  # every error class is compared
+        return type(exc), str(exc)
+    assert g.table.dtype == np.int32 and not g.table.flags.writeable
+    return g.table.tobytes(), g.generators
+
+
+# One-cell edits: every index from -1 to n, the byte range's edges, a huge
+# int, a float, a str, a bool and numpy scalars.
+def _edit_values(n):
+    return list(range(-1, n + 1)) + [
+        255, 256, 2**70, 0.0, "0", True, np.int64(1), np.uint8(1), np.bool_(True),
+    ]
+
+
+def _nested_list_inputs():
+    for g in small_group_corpus(10):
+        n = g.order
+        rows = g.table.tolist()
+        yield n, rows
+        yield n, tuple(map(tuple, rows))
+        for i in range(n):
+            for j in range(n):
+                for v in _edit_values(n):
+                    edited = [row[:] for row in rows]
+                    edited[i][j] = v
+                    yield n, edited
+    yield 2, [0, 1]
+    yield 2, [[[0], [1]], [[1], [0]]]
+    yield 1, [[[0]]]
+    yield 1, []
+    yield 1, [[]]
+    yield 2, [[], []]
+    yield 2, [b"\x00\x01", b"\x01\x00"]
+    yield 2, [bytearray(b"\x00\x01"), bytearray(b"\x01\x00")]
+    yield 2, ["01", "10"]
+    yield 2, [[False, True], [True, False]]
+    yield 1, [[False]]
+    yield 2, [[0, True], [True, 0]]
+    yield 2, [[False, 1], [1, 0]]
+    yield 2, [[0, 1], [True, np.bool_(False)]]
+
+
+def test_byte_path_matches_the_array_path():
+    # A nested list must give what its np.asarray array gives: the same
+    # table and generators, or the same error class and message.
+    count = 0
+    for order, table in _nested_list_inputs():
+        expected = _from_table_outcome(order, np.asarray(table))
+        assert _from_table_outcome(order, table) == expected, (order, table)
+        count += 1
+    assert count > 15_000
+
+
+def test_index_objects_are_read_as_their_index():
+    # The one known divergence: a non-int object with __index__ becomes an
+    # object array under np.asarray, but bytes() reads it as its index.
+    class Index:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    rows = [[0, 1], [1, Index(0)]]
+    assert from_table(2, rows) == cyclic_group(2)
+    with pytest.raises(NotClosedError, match="^table entries must be integers, got object$"):
+        from_table(2, np.asarray(rows))
+
+
+def test_nested_int_lists_skip_numpy_dtype_discovery(monkeypatch):
+    rows = direct_product(cyclic_group(12), cyclic_group(12)).group.table.tolist()
+    calls = []
+    asarray = np.asarray
+
+    def counting(*args, **kwargs):
+        calls.append(type(args[0]).__name__)
+        return asarray(*args, **kwargs)
+
+    monkeypatch.setattr(np, "asarray", counting)
+    assert from_table(144, rows).table.tolist() == rows
+    assert from_table(144, tuple(map(tuple, rows))).order == 144
+    assert calls == []
+    # The counter sees the fallback that a float entry takes.
+    rows[1][1] = 2.0
+    with pytest.raises(NotClosedError, match="got float64$"):
+        from_table(144, rows)
+    assert calls == ["list"]
+
+
 def test_no_identity():
     with pytest.raises(NoIdentityError):
         from_table(2, [[1, 0], [0, 1]])
