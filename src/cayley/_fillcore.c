@@ -10,6 +10,13 @@
    int16 array with a per-value list of cells, and row and column
    exclusion sets are uint64_t bitmasks, which limits the order to 64.
 
+   Both kernels stop propagating once all n^2 cells are set and return
+   Light's criterion on the complete table over the generators: a
+   complete table can set no cell, a violated triple still has its
+   last-set cell ahead on the trail, and every label is a product of
+   generators, so the criterion fails exactly when the rest of the trail
+   would (the full argument is in _fillcore.py).
+
    Built by setup.py as the optional module cayley._fillcore_c. */
 
 #define PY_SSIZE_T_CLEAN
@@ -75,12 +82,33 @@ static void unwind(Search *s, int mark)
     }
 }
 
+/* Light's criterion on the complete table: (x*g)*y = x*(g*y) for every
+   generator g and all x, y. */
+static int associative(const Search *s)
+{
+    const int n = s->n;
+    const int16_t *t = s->table;
+    for (int j = 0; j < s->gens_len; j++) {
+        const int16_t *grow = t + s->gens[j] * n;
+        for (int x = 0; x < n; x++) {
+            const int16_t *xrow = t + x * n, *xgrow = t + xrow[s->gens[j]] * n;
+            for (int y = 0; y < n; y++) {
+                if (xgrow[y] != xrow[grow[y]])
+                    return 0;
+            }
+        }
+    }
+    return 1;
+}
+
 /* Close the trail suffix under the associativity rules. */
 static int propagate(Search *s, int start)
 {
     const int n = s->n, nlab = s->nlab;
     const int16_t *t = s->table;
     for (int i = start; i < s->trail_len; i++) {
+        if (s->trail_len == s->size)
+            return associative(s);
         int idx = s->trail[i];
         int a = idx / n, b = idx % n, v = t[idx];
         int rowa = a * n, rowb = b * n, rowv = v * n;

@@ -25,6 +25,18 @@ propagation fails, and the fixpoint it reaches when it does not, do not
 depend on the order of the checks or on how the table is stored. Only the
 closure decides the branching, the leaves, their order and the node count.
 
+Once every cell is set, propagation stops and returns Light's criterion
+on the complete table over the generators instead of processing the rest
+of the trail, which reaches the same closure. A complete table can set
+no cell, so the rest of the trail could only find a violated triple. Each
+triple is checked when the last of its cells is processed, so a violated
+triple still has that cell ahead on the trail, and the rest of the trail
+fails exactly when some triple fails. Every label is a product of a
+generator and an earlier label (the label 1 cycle included), so the
+elements a with (x*a)*y = x*(a*y) for all x, y, a set that contains 0 and
+is closed under products, are all of them as soon as they contain the
+generators: the criterion decides associativity exactly.
+
 This is the reference kernel. The C extension _fillcore_c, built from
 _fillcore.c with the same functions, applies the same rules to reach the
 same closure with the same branching, and so must return identical
@@ -50,6 +62,20 @@ def smallest_prime_factor(n: int) -> int:
             return d
         d += 1
     return n
+
+
+def associative(rows: bytearray, row: list, gens: list[int], n: int) -> bool:
+    """Light's criterion on a complete table of order n, stored as byte
+    rows of stride _STRIDE with row[x] a view of row x: (x*g)*y = x*(g*y)
+    for every generator g and all x, y, one row comparison per (g, x)."""
+    W = _STRIDE
+    for g in gens:
+        grow = rows[g * W : g * W + n]
+        for x in range(n):
+            xg = rows[x * W + g] * W
+            if rows[xg : xg + n] != grow.translate(row[x]):
+                return False
+    return True
 
 
 def enumerate_group_tables(n: int) -> tuple[list[tuple[int, ...]], int]:
@@ -78,6 +104,7 @@ def enumerate_group_tables(n: int) -> tuple[list[tuple[int, ...]], int]:
     row = [memoryview(rows)[x * W : x * W + W] for x in range(n)]
     col = [memoryview(cols)[y * W : y * W + W] for y in range(n)]
     cells = [(a, b) for a in range(n) for b in range(n)]
+    full = len(cells)
     trail: list[tuple[int, int]] = []
     gens: list[int] = []
     scan_u: list[int] = []
@@ -100,13 +127,13 @@ def enumerate_group_tables(n: int) -> tuple[list[tuple[int, ...]], int]:
         return True
 
     def unwind(mark: int) -> None:
-        while len(trail) > mark:
-            a, b = trail.pop()
+        for a, b in trail[mark:]:
             v = rows[a * W + b]
             rows[a * W + b] = U
             cols[b * W + a] = U
             left[v * W + a] = U
             right[v * W + b] = U
+        del trail[mark:]
 
     def propagate(start: int) -> bool:
         """Close the trail suffix under the associativity rules.
@@ -121,6 +148,8 @@ def enumerate_group_tables(n: int) -> tuple[list[tuple[int, ...]], int]:
         labels = range(nlab)
         i = start
         while i < len(trail):
+            if len(trail) == full:
+                return associative(rows, row, gens, n)
             a, b = trail[i]
             i += 1
             aw, bw = a * W, b * W

@@ -33,12 +33,8 @@ from .morphisms import (
     fingerprint_mismatch,
 )
 from .products import cyclic_power_semidirect, direct_product
-from .recognition import (
-    internal_direct,
-    internal_semidirect,
-    internal_semidirect_join,
-)
-from .subgroups import is_normal, join, subgroup_from_members
+from .recognition import recognize
+from .subgroups import subgroup_from_members
 
 
 def _emit_json(payload: dict) -> None:
@@ -158,15 +154,7 @@ def _cmd_recognize(args) -> int:
     sub_n = subgroup_from_members(group, _parse_indices(args.n))
     sub_h = subgroup_from_members(group, _parse_indices(args.h))
     # One recognizer, chosen from the hypotheses; its error is the answer.
-    if not join(sub_n, sub_h).is_full():
-        iso = internal_semidirect_join(group, sub_n, sub_h).iso
-        kind = "internal semidirect product of the join subgroup"
-    elif is_normal(sub_h):
-        iso = internal_direct(group, sub_n, sub_h)
-        kind = "internal direct product"
-    else:
-        iso = internal_semidirect(group, sub_n, sub_h).iso
-        kind = "internal semidirect product"
+    kind, iso = recognize(group, sub_n, sub_h)
     product_group, mapping = iso.target, iso.forward.map
     if args.json:
         _emit_json(

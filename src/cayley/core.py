@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import (
     NoIdentityError,
+    NoInverseError,
     NotAssociativeError,
     NotClosedError,
     NotLatinError,
@@ -139,7 +140,8 @@ class FiniteGroup:
     __slots__ = ("order", "table", "inverse", "generators", "_hash", "_memo")
 
     def __init__(self, order: int, table: np.ndarray, inverse: np.ndarray, generators: tuple):
-        # Internal constructor: callers go through from_table().
+        # Internal constructor: callers go through from_table(). Only
+        # enumeration wraps tables unvalidated, and never hands them out.
         self.order = order
         self.table = table
         self.inverse = inverse
@@ -167,11 +169,17 @@ class FiniteGroup:
         return self.mul(self.mul(g, x), self.inv(g))
 
     def powers(self, x: int) -> list[int]:
-        """[x^0, x^1, ..., x^(m-1)], where m is the order of x."""
+        """[x^0, x^1, ..., x^(m-1)], where m is the order of x.
+
+        NoInverseError if the walk has not returned to 0 after `order`
+        steps, which no group table allows; it bounds the walk on the
+        unvalidated tables that enumeration colours."""
         self._element(x)
         out = [0]
         y = x
         while y != 0:
+            if len(out) == self.order:
+                raise NoInverseError(f"the powers of {x} do not return to the identity")
             out.append(y)
             y = int(self.table[y, x])
         return out

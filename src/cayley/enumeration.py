@@ -6,6 +6,19 @@ optional C extension _fillcore_c (compiled from _fillcore.c by setup.py)
 and the pure-Python reference _fillcore. The compiled one is used whenever
 it imports, otherwise the pure one; BACKEND names the choice. Both return
 identical tables in identical order.
+
+The kernel may emit isomorphic duplicates. Each leaf is first wrapped
+unvalidated, only to compute its colour key (the sorted element colours,
+see morphisms) and to be searched. A leaf is a duplicate when a
+representative with the same key relabels onto it: the generator-image
+search from the representative proposes a map f, and f is accepted only
+once it is a permutation and one gather shows
+leaf[f[x], f[y]] == f[rep[x, y]] on all n^2 pairs. Such a leaf is a
+relabelled group table, so it is a group and needs no validation. Only a
+leaf that relabels no representative is validated by from_table, which
+raises its error if it is not a group, and becomes a representative. The
+oracle uses no group catalog and never concludes a positive from an
+invariant.
 """
 
 from __future__ import annotations
@@ -16,8 +29,8 @@ import numpy as np
 
 from . import _fillcore
 from .core import FiniteGroup, from_table
-from .errors import BudgetExceededError
-from .morphisms import _colour_key, find_isomorphism
+from .errors import BudgetExceededError, NoInverseError
+from .morphisms import _colour_key, _image_search, generating_sequence
 
 DEFAULT_BUDGET = 16
 HARD_ORDER_LIMIT = _fillcore.MAX_KERNEL_ORDER
@@ -61,15 +74,40 @@ def check_order_fits(n: int, budget: int) -> None:
         raise BudgetExceededError(f"kernel supports orders up to {HARD_ORDER_LIMIT}")
 
 
-def enumerate_groups(n: int, budget: int | None = None) -> EnumerationReport:
-    """All groups of order n up to isomorphism.
+def _leaf(n: int, table: np.ndarray) -> FiniteGroup | None:
+    """A kernel leaf as an unvalidated FiniteGroup with its colour key
+    cached, or None unless its entries lie below n and every power walk
+    returns to 0 within n steps, as in every group table. It is only
+    coloured and searched, and never leaves this module."""
+    if int(table.max()) >= n:
+        return None
+    # The first 0 in each row: the inverse, if the table is a group.
+    leaf = FiniteGroup(n, table, table.argmin(axis=1), ())
+    try:
+        _colour_key(leaf)
+    except NoInverseError:
+        return None
+    return leaf
 
-    The kernel's canonical search is complete but may emit isomorphic
-    duplicates; they are removed here by bucketing on the colour key (the
-    sorted element colours, see morphisms) followed by the full
-    isomorphism search, so the oracle never trusts an invariant for a
-    positive identification.
-    """
+
+def _is_relabelling(rep: FiniteGroup, leaf: FiniteGroup) -> bool:
+    """Whether the leaf's table is rep's under a relabelling: the first map
+    f that the search from rep's generating sequence finds is accepted
+    only if it is a permutation and leaf[f[x], f[y]] == f[rep[x, y]] for
+    all n^2 pairs, one gather. The leaf needs an equal colour key."""
+    maps = _image_search(rep, leaf, generating_sequence(rep), find_all=False)
+    if not maps:
+        return False
+    f = np.asarray(maps[0])
+    if not np.array_equal(np.sort(f), np.arange(rep.order)):
+        return False
+    return bool(np.array_equal(leaf.table[f[:, None], f], f[rep.table]))
+
+
+def enumerate_groups(n: int, budget: int | None = None) -> EnumerationReport:
+    """All groups of order n up to isomorphism: the kernel's leaves less
+    those that relabel a representative with the same colour key (see the
+    module docstring); each representative is validated by from_table."""
     if budget is None:
         budget = DEFAULT_BUDGET
     if n < 1:
@@ -81,12 +119,15 @@ def enumerate_groups(n: int, budget: int | None = None) -> EnumerationReport:
     rejections = 0
     for flat in tables:
         # Kernel entries lie below HARD_ORDER_LIMIT, so each fits in a byte.
-        group = from_table(n, np.frombuffer(bytes(flat), np.uint8).reshape(n, n))
-        bucket = buckets.setdefault(_colour_key(group), [])
-        if any(find_isomorphism(group, rep) is not None for rep in bucket):
+        table = np.frombuffer(bytes(flat), np.uint8).reshape(n, n)
+        leaf = _leaf(n, table)
+        if leaf is not None and any(
+            _is_relabelling(rep, leaf) for rep in buckets.get(_colour_key(leaf), ())
+        ):
             rejections += 1
             continue
-        bucket.append(group)
+        group = from_table(n, table)
+        buckets.setdefault(_colour_key(group), []).append(group)
         representatives.append(group)
     stats = EnumerationStats(
         nodes=nodes,

@@ -40,7 +40,9 @@ class NotAssociativeError(GroupError):
 
 
 class NoInverseError(GroupError):
-    """An element has no two-sided inverse (unreachable after the other checks)."""
+    """An element has no two-sided inverse (unreachable after the other
+    validation checks); also a power walk that does not return to the
+    identity, on a table that was not validated."""
 
 
 class SizeCapError(GroupError):

@@ -15,8 +15,9 @@ Isomorphisms are found by generator-image backtracking: a greedy
 irredundant generating sequence of the source (highest element order
 first, each generator outside the subgroup of the earlier ones) is mapped
 onto candidates of the same colour in the target. Each depth d of the
-search has a plan, built once per search from the source table: the
-products x * gens[j] that <gens[:d+1]> adds to <gens[:d]>. A node extends
+search has a plan, built from the source table once per source and
+generating sequence and cached on the source: the products
+x * gens[j] that <gens[:d+1]> adds to <gens[:d]>. A node extends
 its parent's partial map along its plan only, so each product is checked
 once per branch, and every newly mapped element must be unused and match
 its preimage's colour. All nodes share one partial map, changed in place:
@@ -276,9 +277,13 @@ def colour_mismatch(g1: FiniteGroup, g2: FiniteGroup) -> str | None:
 
 def generating_sequence(g: FiniteGroup) -> list[int]:
     """Greedy irredundant (not necessarily shortest) generating sequence
-    over the elements by descending element order, then by index."""
-    by_order = np.argsort(-np.asarray(g.element_orders()), kind="stable")
-    return greedy_generators(g.table, by_order.tolist())
+    over the elements by descending element order, then by index (cached)."""
+    cached = g._memo.get("generating_sequence")
+    if cached is None:
+        by_order = np.argsort(-np.asarray(g.element_orders()), kind="stable")
+        cached = tuple(greedy_generators(g.table, by_order.tolist()))
+        g._memo["generating_sequence"] = cached
+    return list(cached)
 
 
 def _plans(table: np.ndarray, gens: list[int], colours: list[int]) -> list[list[tuple]]:
@@ -303,6 +308,22 @@ def _plans(table: np.ndarray, gens: list[int], colours: list[int]) -> list[list[
                     members.append(y)
         plans.append(plan)
     return plans
+
+
+def _search_state(g: FiniteGroup, gens: list[int]) -> tuple[dict, list[list[tuple]], list[list]]:
+    """The colour ids, the plans and the per-depth fresh elements of a
+    search from g along gens (cached on g per gens): every search from one
+    source shares them."""
+    key = ("search_state", tuple(gens))
+    cached = g._memo.get(key)
+    if cached is None:
+        stats = _element_stats(g)
+        colour = {s: c for c, s in enumerate(set(stats))}
+        plans = _plans(g.table, gens, [colour[s] for s in stats])
+        # Per depth, (y, colour) of each element first reached there, in plan order.
+        fresh = [[(y, c) for _, _, y, c, _ in plan if c >= 0] for plan in plans]
+        cached = g._memo[key] = (colour, plans, fresh)
+    return cached
 
 
 def _class_ids(g: FiniteGroup) -> list[int]:
@@ -377,10 +398,7 @@ def _image_search(
         candidates[0] = list(first.values())
     # Ids of the element colours. free[w] is w's colour until w is used,
     # then -1, so one comparison checks injectivity and colour.
-    colour = {s: c for c, s in enumerate(set(stats1))}
-    plans = _plans(g1.table, gens, [colour[s] for s in stats1])
-    # Per depth, (y, colour) of each element first reached there, in plan order.
-    fresh = [[(y, c) for _, _, y, c, _ in plan if c >= 0] for plan in plans]
+    colour, plans, fresh = _search_state(g1, gens)
     m = [0] + [-1] * (n - 1)
     free = [-1] + [colour[s] for s in stats2[1:]]
     columns: list[list[int]] = [[]] * len(gens)

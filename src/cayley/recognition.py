@@ -12,7 +12,10 @@ product exactly when N and H meet beyond the identity, since n1 h1 = n2 h2
 puts n2^-1 n1 = h2 h1^-1 in both, and with N normal the products form the
 join, so without repeats it is the whole group exactly when |N| |H| = |G|.
 When |N| |H| > |G| two pairs must share a product, so the meet fails by
-counting alone and the table is never gathered.
+counting alone and the table is never gathered. The join variant promotes
+the products the gather reached, which are the join. `recognize` picks
+the recognizer from the gather's outcome, so a caller that does not know
+which hypotheses hold checks each of them once.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .core import FiniteGroup
 from .errors import JoinNotFullError, MeetNotTrivialError, MismatchedParentError, NotNormalError
 from .morphisms import Hom, Iso, conjugation_perms, iso_from_forward, make_hom
 from .products import ProductGroup
-from .subgroups import Subgroup, as_group, is_normal, join
+from .subgroups import Subgroup, as_group, is_normal
 
 
 @dataclass(frozen=True)
@@ -49,9 +52,10 @@ class DecompositionWitness:
         return self.product.phi
 
 
-def _factor_witness(g: FiniteGroup, n: Subgroup, h: Subgroup) -> DecompositionWitness:
-    """Check the meet and join hypotheses and invert g = n * h; N is normal.
-    Entry ni * |H| + hi of the n-major product array is the pair index."""
+def _factorization(g: FiniteGroup, n: Subgroup, h: Subgroup) -> np.ndarray:
+    """Check the meet hypothesis and invert g = n * h; N is normal. Entry x
+    is the pair index ni * |H| + hi of x = n * h, or -1 off the products
+    N H, which are the join."""
     if len(n) * len(h) > g.order:
         raise MeetNotTrivialError("N and H intersect beyond the identity")
     pairs = g.table[np.ix_(n.members, h.members)].reshape(-1)
@@ -59,8 +63,12 @@ def _factor_witness(g: FiniteGroup, n: Subgroup, h: Subgroup) -> DecompositionWi
     mapping[pairs] = np.arange(pairs.size, dtype=np.int32)
     if np.count_nonzero(mapping >= 0) < pairs.size:
         raise MeetNotTrivialError("N and H intersect beyond the identity")
-    if pairs.size < g.order:
-        raise JoinNotFullError("N and H do not generate the group")
+    return mapping
+
+
+def _witness(g: FiniteGroup, n: Subgroup, h: Subgroup, mapping: np.ndarray) -> DecompositionWitness:
+    """The product of N and H and the isomorphism g -> product given by a
+    factorization whose products are all of g."""
     promoted_n = as_group(n)
     promoted_h = as_group(h)
     # Through the module, so that a wrapper set on products._assemble sees
@@ -70,6 +78,34 @@ def _factor_witness(g: FiniteGroup, n: Subgroup, h: Subgroup) -> DecompositionWi
     )
     iso = iso_from_forward(make_hom(g, product.group, mapping))
     return DecompositionWitness(product, iso)
+
+
+def _full_witness(
+    g: FiniteGroup, n: Subgroup, h: Subgroup, mapping: np.ndarray
+) -> DecompositionWitness:
+    if len(n) * len(h) < g.order:
+        raise JoinNotFullError("N and H do not generate the group")
+    return _witness(g, n, h, mapping)
+
+
+def _join_witness(
+    g: FiniteGroup, n: Subgroup, h: Subgroup, mapping: np.ndarray
+) -> DecompositionWitness:
+    """The witness on the promoted join, the products N H that the
+    factorization reached, re-indexed from g's factorization."""
+    promoted_j = as_group(Subgroup(g, tuple(np.flatnonzero(mapping >= 0).tolist())))
+    inner_n = Subgroup(promoted_j.group, tuple(promoted_j.section[list(n.members)].tolist()))
+    inner_h = Subgroup(promoted_j.group, tuple(promoted_j.section[list(h.members)].tolist()))
+    witness = _witness(promoted_j.group, inner_n, inner_h, mapping[list(promoted_j.embed)])
+    return replace(witness, join_embedding=promoted_j.embed)
+
+
+def _direct_iso(witness: DecompositionWitness) -> Iso:
+    """The witness's iso, once its action is checked trivial."""
+    if (witness.product.perms != np.arange(witness.product.n_factor.order)).any():
+        # Both factors normal with trivial meet force elementwise commuting.
+        raise NotNormalError("N")
+    return witness.iso
 
 
 def _check_parents(g: FiniteGroup, n: Subgroup, h: Subgroup) -> None:
@@ -84,7 +120,7 @@ def internal_semidirect(g: FiniteGroup, n: Subgroup, h: Subgroup) -> Decompositi
     _check_parents(g, n, h)
     if not is_normal(n):
         raise NotNormalError("N")
-    return _factor_witness(g, n, h)
+    return _full_witness(g, n, h, _factorization(g, n, h))
 
 
 def internal_semidirect_join(
@@ -95,11 +131,7 @@ def internal_semidirect_join(
     _check_parents(g, n, h)
     if not is_normal(n):
         raise NotNormalError("N")
-    promoted_j = as_group(join(n, h))
-    inner_n = Subgroup(promoted_j.group, tuple(promoted_j.section[list(n.members)].tolist()))
-    inner_h = Subgroup(promoted_j.group, tuple(promoted_j.section[list(h.members)].tolist()))
-    witness = _factor_witness(promoted_j.group, inner_n, inner_h)
-    return replace(witness, join_embedding=promoted_j.embed)
+    return _join_witness(g, n, h, _factorization(g, n, h))
 
 
 def internal_direct(g: FiniteGroup, n: Subgroup, h: Subgroup) -> Iso:
@@ -111,8 +143,31 @@ def internal_direct(g: FiniteGroup, n: Subgroup, h: Subgroup) -> Iso:
         raise NotNormalError("N")
     if not is_normal(h):
         raise NotNormalError("H")
-    witness = _factor_witness(g, n, h)
-    if (witness.product.perms != np.arange(witness.product.n_factor.order)).any():
-        # Both factors normal with trivial meet force elementwise commuting.
+    return _direct_iso(_full_witness(g, n, h, _factorization(g, n, h)))
+
+
+JOIN_KIND = "internal semidirect product of the join subgroup"
+DIRECT_KIND = "internal direct product"
+SEMIDIRECT_KIND = "internal semidirect product"
+
+
+def recognize(g: FiniteGroup, n: Subgroup, h: Subgroup) -> tuple[str, Iso]:
+    """The product that N and H form, named, with its isomorphism: the join
+    variant's when N and H do not generate g, the direct product's when H
+    is normal too, else the semidirect product's.
+
+    Each hypothesis is checked once, in the recognizers' order: N normal,
+    then the meet by the factorization gather. Once the meet is trivial
+    the gather also decides the join, since with N normal the products
+    N H are the join and number |N| |H|; H's normality is checked only
+    when they are all of g. The errors are those of the recognizer that
+    the outcome names."""
+    _check_parents(g, n, h)
+    if not is_normal(n):
         raise NotNormalError("N")
-    return witness.iso
+    mapping = _factorization(g, n, h)
+    if len(n) * len(h) < g.order:
+        return JOIN_KIND, _join_witness(g, n, h, mapping).iso
+    if is_normal(h):
+        return DIRECT_KIND, _direct_iso(_witness(g, n, h, mapping))
+    return SEMIDIRECT_KIND, _witness(g, n, h, mapping).iso

@@ -62,7 +62,9 @@ def product_builds(monkeypatch):
 
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory):
-    """The C kernel, freshly built by setup.py into a temporary directory."""
+    """The C kernel, freshly built by setup.py into a temporary directory;
+    the build fails on any compiler warning for _fillcore.c (setuptools
+    compiles with -Wall)."""
     build = tmp_path_factory.mktemp("fillcore_build")
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
@@ -75,6 +77,10 @@ def compiled_kernel(tmp_path_factory):
     built = sorted((build / "lib" / "cayley").glob("_fillcore_c.*"))
     if proc.returncode != 0 or not built:
         pytest.fail(f"building _fillcore.c failed:\n{proc.stdout}{proc.stderr}", pytrace=False)
+    warnings = [line for line in (proc.stdout + proc.stderr).splitlines()
+                if "_fillcore.c" in line and "warning:" in line]
+    if warnings:
+        pytest.fail("building _fillcore.c warned:\n" + "\n".join(warnings), pytrace=False)
     spec = importlib.util.spec_from_file_location("cayley._fillcore_c", built[0])
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

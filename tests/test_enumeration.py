@@ -5,13 +5,13 @@ import os
 
 import pytest
 
-from cayley import _fillcore
-from cayley.core import from_table
+from cayley import _fillcore, enumeration
+from cayley.core import cyclic_group, from_table
 from cayley.enumeration import count_groups, enumerate_groups, enumerate_tables
-from cayley.errors import BudgetExceededError
+from cayley.errors import BudgetExceededError, GroupError
 from cayley.morphisms import _colour_key, find_isomorphism
 
-from oracles import naive_is_group_table, regular_subgroup_census
+from oracles import naive_is_group_table, regular_subgroup_census, relabel_seeded
 
 # Classical numbers of isomorphism classes by order. Orders of shape p^2 or
 # p*q also follow from the existence criterion (1 class when no noncyclic
@@ -142,6 +142,62 @@ def test_pure_kernel_output_is_pinned(n):
     assert hashlib.sha256(repr(result).encode()).hexdigest() == PURE_KERNEL_SHA256[n]
 
 
+# A Latin table with identity 0 that is not associative ((2*2)*2 != 2*(2*2)),
+# yet has the colour key of C6, so the dedup runs a relabelling search on it.
+LOOP6 = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 3, 2, 5, 4],
+    [2, 3, 4, 5, 0, 1],
+    [3, 2, 5, 4, 1, 0],
+    [4, 5, 1, 0, 3, 2],
+    [5, 4, 0, 1, 2, 3],
+]
+
+# Order 24 is the first at which a table completed by propagation fails
+# the kernels' completion check (12 times); a kernel that skipped the check
+# would emit 2737 tables, not 2725. Recorded before the check existed.
+ORDER24_SHA256 = "e49683f6a2cb6294b14f94e1738afa84d8aa88b9c7cd1f16ff5a067e937479cf"
+
+
+def test_compiled_kernel_order24_is_pinned(compiled_kernel):
+    result = compiled_kernel.enumerate_group_tables(24)
+    assert (len(result[0]), result[1]) == (2725, 147201)
+    assert hashlib.sha256(repr(result).encode()).hexdigest() == ORDER24_SHA256
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CAYLEY_STRESS"),
+    reason="about 10 s on the pure kernel; set CAYLEY_STRESS=1 to run",
+)
+def test_pure_kernel_order24_is_pinned():
+    result = _fillcore.enumerate_group_tables(24)
+    assert hashlib.sha256(repr(result).encode()).hexdigest() == ORDER24_SHA256
+
+
+def _byte_rows(rows):
+    """A complete table in the pure kernel's layout: byte rows of stride
+    256, and a view of each row."""
+    n, stride = len(rows), 256
+    data = bytearray([255]) * (n * stride)
+    for x, values in enumerate(rows):
+        data[x * stride : x * stride + n] = bytes(values)
+    return data, [memoryview(data)[x * stride : (x + 1) * stride] for x in range(n)]
+
+
+def test_completion_check_is_lights_criterion(s3):
+    # True on group tables over their generators; False on a Latin table
+    # that is not associative, for a generator set that holds a witness.
+    c6 = cyclic_group(6)
+    for group, gens in [(c6, [1]), (s3, list(s3.generators))]:
+        data, views = _byte_rows(group.table.tolist())
+        assert _fillcore.associative(data, views, gens, 6)
+    data, views = _byte_rows(LOOP6)
+    assert not _fillcore.associative(data, views, [2], 6)
+    assert not _fillcore.associative(data, views, list(range(1, 6)), 6)
+    # Only the given generators are checked: 1 is no witness.
+    assert _fillcore.associative(data, views, [1], 6)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_every_kernel_table_passes_the_naive_oracle(n):
     # Raw kernel leaves, checked without from_table.
@@ -173,19 +229,18 @@ def test_order32_stress_count():
 
 
 def _count_dedup_negatives(monkeypatch, n):
-    """enumerate_groups(n) and the number of its isomorphism searches that
-    found no isomorphism."""
-    from cayley import enumeration
-
+    """enumerate_groups(n) and the number of its relabelling checks that
+    found no relabelling."""
     negatives = []
+    check = enumeration._is_relabelling
 
-    def counted(g1, g2):
-        iso = find_isomorphism(g1, g2)
-        if iso is None:
-            negatives.append((g1, g2))
-        return iso
+    def counted(rep, leaf):
+        found = check(rep, leaf)
+        if not found:
+            negatives.append((rep, leaf))
+        return found
 
-    monkeypatch.setattr(enumeration, "find_isomorphism", counted)
+    monkeypatch.setattr(enumeration, "_is_relabelling", counted)
     return enumeration.enumerate_groups(n, budget=n), len(negatives)
 
 
@@ -226,3 +281,101 @@ def test_order16_fingerprint_collisions_are_resolved_by_search():
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             assert find_isomorphism(reps[i], reps[j]) is None
+
+
+def test_only_representatives_are_validated(monkeypatch):
+    # The 526 duplicate leaves of order 16 are rejected by a relabelling
+    # check alone; from_table runs once per representative.
+    calls = []
+
+    def counted(order, table):
+        calls.append(order)
+        return from_table(order, table)
+
+    monkeypatch.setattr(enumeration, "from_table", counted)
+    report = enumerate_groups(16)
+    assert report.count == 14 and report.stats.iso_rejections == 526
+    assert calls == [16] * 14
+
+
+def _flat(rows):
+    return tuple(v for row in rows for v in row)
+
+
+def _identity_bordered(n, entry):
+    """Rows and columns of 0 are the identity; every other cell is entry(x, y)."""
+    return [[x if y == 0 else y if x == 0 else entry(x, y) for y in range(n)] for x in range(n)]
+
+
+NOT_GROUP_TABLES = {
+    "loop with the key of C6": LOOP6,
+    # Powers of 1 run 1, 2, 2, ... and never return to 0.
+    "power walk without end": _identity_bordered(6, lambda x, y: 2),
+    "non-Latin, every square 0": _identity_bordered(6, lambda x, y: 0),
+    "entry out of range": _identity_bordered(
+        6, lambda x, y: 6 if (x, y) == (5, 5) else (x + y) % 6
+    ),
+}
+
+
+class _StubKernel:
+    """A kernel that emits the given leaves for order 6."""
+
+    def __init__(self, leaves):
+        self.leaves = [_flat(rows) for rows in leaves]
+
+    def enumerate_group_tables(self, n):
+        assert n == 6
+        return list(self.leaves), 1
+
+
+def test_stub_kernel_duplicate_is_rejected_by_relabelling(monkeypatch):
+    c6 = cyclic_group(6)
+    copy = relabel_seeded(c6, 3)
+    assert copy.table.tolist() != c6.table.tolist()
+    stub = _StubKernel([c6.table.tolist(), copy.table.tolist()])
+    monkeypatch.setattr(enumeration, "_kernel", stub)
+    report = enumerate_groups(6)
+    assert report.count == 1 and report.stats.iso_rejections == 1
+    assert report.representatives[0].table.tolist() == c6.table.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(NOT_GROUP_TABLES))
+def test_stub_kernel_non_group_leaf_raises_the_from_table_error(monkeypatch, name):
+    rows = NOT_GROUP_TABLES[name]
+    with pytest.raises(GroupError) as expected:
+        from_table(6, rows)
+    c6 = cyclic_group(6)
+    leaves = [c6.table.tolist(), relabel_seeded(c6, 3).table.tolist(), rows]
+    monkeypatch.setattr(enumeration, "_kernel", _StubKernel(leaves))
+    checked = []
+    check = enumeration._is_relabelling
+
+    def counted(rep, leaf):
+        checked.append(leaf.table.tolist())
+        return check(rep, leaf)
+
+    monkeypatch.setattr(enumeration, "_is_relabelling", counted)
+    with pytest.raises(GroupError) as raised:
+        enumerate_groups(6)
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
+    # Only the loop shares C6's colour key and so meets the relabelling check.
+    assert (rows in checked) == (rows is LOOP6)
+
+
+def test_planted_wrong_map_is_refused(monkeypatch):
+    c6 = cyclic_group(6)
+    copy = relabel_seeded(c6, 3)
+    leaf = enumeration._leaf(6, copy.table)
+    assert enumeration._is_relabelling(c6, leaf)
+    # Planted maps that are no relabelling: the identity (the tables
+    # differ), a map that is not a permutation and one that leaves the range.
+    for planted in [tuple(range(6)), (0, 1, 1, 3, 4, 5), (0, 1, 2, 3, 4, 6)]:
+        monkeypatch.setattr(enumeration, "_image_search", lambda *a, m=planted, **k: [m])
+        assert not enumeration._is_relabelling(c6, leaf)
+    # The refused duplicate is then validated and kept as a second class.
+    stub = _StubKernel([c6.table.tolist(), copy.table.tolist()])
+    monkeypatch.setattr(enumeration, "_kernel", stub)
+    report = enumerate_groups(6)
+    assert report.count == 2 and report.stats.iso_rejections == 0

@@ -7,6 +7,7 @@ import pytest
 
 from cayley.core import cyclic_group, symmetric_group
 from cayley.errors import (
+    GroupError,
     JoinNotFullError,
     MeetNotTrivialError,
     MismatchedParentError,
@@ -20,11 +21,16 @@ from cayley.morphisms import (
 )
 from cayley.products import direct_product, sdp_congr, semidirect_product
 from cayley.recognition import (
+    DIRECT_KIND,
+    JOIN_KIND,
+    SEMIDIRECT_KIND,
     internal_direct,
     internal_semidirect,
     internal_semidirect_join,
+    recognize,
 )
 from cayley.subgroups import (
+    as_group,
     bot,
     closure,
     is_normal,
@@ -153,6 +159,45 @@ def test_recognizers_check_the_hypotheses_in_order():
     assert calls == 3192
 
 
+def _dispatch_by_join(g, n, h):
+    """The recognizer choice that recognize replaces: the join of N and H
+    first, then H's normality, then one recognizer; the join variant as it
+    was, the semidirect recognizer on the promoted join."""
+    if not join(n, h).is_full():
+        if not is_normal(n):
+            raise NotNormalError("N")
+        promoted = as_group(join(n, h))
+        inner_n = subgroup_from_members(promoted.group, promoted.section[list(n.members)].tolist())
+        inner_h = subgroup_from_members(promoted.group, promoted.section[list(h.members)].tolist())
+        return JOIN_KIND, internal_semidirect(promoted.group, inner_n, inner_h).iso
+    if is_normal(h):
+        return DIRECT_KIND, internal_direct(g, n, h)
+    return SEMIDIRECT_KIND, internal_semidirect(g, n, h).iso
+
+
+def _recognition_outcome(dispatch, g, n, h):
+    try:
+        kind, iso = dispatch(g, n, h)
+    except GroupError as exc:
+        return type(exc).__name__, str(exc)
+    return kind, iso.target.table.tolist(), iso.forward.map
+
+
+def test_recognize_matches_the_dispatch_by_join():
+    groups = [symmetric_group(3)]
+    groups += cached_enumeration(8).representatives + cached_enumeration(12).representatives
+    seen = set()
+    for g in groups:
+        subs = _small_subgroups(g)
+        for n, h in itertools.product(subs, subs):
+            expected = _recognition_outcome(_dispatch_by_join, g, n, h)
+            assert _recognition_outcome(recognize, g, n, h) == expected
+            seen.add(expected[0])
+    assert seen == {
+        JOIN_KIND, DIRECT_KIND, SEMIDIRECT_KIND, "NotNormalError", "MeetNotTrivialError",
+    }
+
+
 def test_recognizers_reject_subgroups_of_another_group(s3, c6):
     a3, t2 = subgroup_of_order(s3, 3), subgroup_of_order(s3, 2)
     c3, c2 = subgroup_of_order(c6, 3), subgroup_of_order(c6, 2)
@@ -162,6 +207,32 @@ def test_recognizers_reject_subgroups_of_another_group(s3, c6):
         internal_semidirect_join(cyclic_group(7), a3, t2)
     with pytest.raises(MismatchedParentError):
         internal_direct(s3, c3, c2)
+    with pytest.raises(MismatchedParentError):
+        recognize(c6, a3, t2)
+
+
+def test_recognize_checks_each_hypothesis_once(monkeypatch, s3):
+    # N's normality, then one gather for the meet and the join, then H's
+    # normality only when N and H generate the group; no join is closed.
+    import cayley.recognition
+    import cayley.subgroups
+
+    normal_checks, closures = [], []
+    check = cayley.recognition.is_normal
+    monkeypatch.setattr(
+        cayley.recognition, "is_normal", lambda sub: normal_checks.append(sub) or check(sub)
+    )
+    monkeypatch.setattr(cayley.subgroups, "join", lambda *a: closures.append(a))
+    a3, t2 = subgroup_of_order(s3, 3), subgroup_of_order(s3, 2)
+    assert recognize(s3, a3, t2)[0] == SEMIDIRECT_KIND
+    assert normal_checks == [a3, t2]
+    ambient = direct_product(s3, cyclic_group(2))
+    emb = ambient.embed_n.map
+    n = subgroup_from_members(ambient.group, [emb[x] for x in a3.members])
+    h = subgroup_from_members(ambient.group, [emb[x] for x in t2.members])
+    normal_checks.clear()
+    assert recognize(ambient.group, n, h)[0] == JOIN_KIND
+    assert normal_checks == [n] and closures == []
 
 
 def test_oversized_factors_fail_the_meet_by_counting(product_builds):
