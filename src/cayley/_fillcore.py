@@ -56,6 +56,8 @@ _UNKNOWN = 255
 
 
 def smallest_prime_factor(n: int) -> int:
+    """The smallest prime factor of n >= 2, by trial division: the one
+    used for primality and order shapes too."""
     d = 2
     while d * d <= n:
         if n % d == 0:

@@ -11,7 +11,9 @@ independent isomorphism search stays available as a cross-check.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
+from ._fillcore import smallest_prime_factor
 from .core import FiniteGroup, cyclic_group
 from .enumeration import (
     DEFAULT_BUDGET,
@@ -53,17 +55,14 @@ SMALLEST_VERIFIED_ORDER = 4
 
 
 def order_shape(n: int) -> OrderShape:
-    if n >= 4:
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                rest = n // d
-                if rest == d:
-                    return OrderShape("prime-squared", n, p=d, q=d)
-                if rest != d and is_prime(rest) and is_prime(d):
-                    return OrderShape("distinct-primes", n, p=d, q=rest)
-                break
-            d += 1
+    # Below 2 the smallest prime factor is no prime: 1 would read as 1 * 1.
+    if n >= 2:
+        p = smallest_prime_factor(n)
+        q = n // p
+        if q == p:
+            return OrderShape("prime-squared", n, p=p, q=q)
+        if p < q and is_prime(q):
+            return OrderShape("distinct-primes", n, p=p, q=q)
     return OrderShape("unsupported", n)
 
 
@@ -71,11 +70,8 @@ def order_shape(n: int) -> OrderShape:
 class ClassificationResult:
     """Base class; kind is one of Cyclic, ElementaryAbelianPP, SemidirectQP."""
 
+    kind: ClassVar[str]
     iso: Iso
-
-    @property
-    def kind(self) -> str:
-        raise NotImplementedError
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -83,11 +79,8 @@ class ClassificationResult:
 
 @dataclass(frozen=True)
 class CyclicResult(ClassificationResult):
+    kind: ClassVar[str] = "Cyclic"
     generator: int = 0
-
-    @property
-    def kind(self) -> str:
-        return "Cyclic"
 
     def describe(self) -> str:
         return f"Cyclic n={self.iso.target.order} generator={self.generator}"
@@ -95,11 +88,8 @@ class CyclicResult(ClassificationResult):
 
 @dataclass(frozen=True)
 class ElementaryAbelianResult(ClassificationResult):
+    kind: ClassVar[str] = "ElementaryAbelianPP"
     p: int = 0
-
-    @property
-    def kind(self) -> str:
-        return "ElementaryAbelianPP"
 
     def describe(self) -> str:
         return f"ElementaryAbelianPP p={self.p}"
@@ -107,6 +97,7 @@ class ElementaryAbelianResult(ClassificationResult):
 
 @dataclass(frozen=True)
 class SemidirectResult(ClassificationResult):
+    kind: ClassVar[str] = "SemidirectQP"
     p: int = 0
     q: int = 0
     k: int = 0
@@ -116,10 +107,6 @@ class SemidirectResult(ClassificationResult):
     def phi(self) -> Hom:
         """The canonical action of C_p on C_q, into the carrier of Aut(C_q)."""
         return self.product.phi
-
-    @property
-    def kind(self) -> str:
-        return "SemidirectQP"
 
     def describe(self) -> str:
         return f"SemidirectQP p={self.p} q={self.q} k={self.k}"

@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 negative mathematical answer (not isomorphic,
-hypothesis failed, no such group), 2 usage error or an output file or
-directory that cannot be written, 3 input-format error.
+hypothesis failed, no such group), 2 usage error or output that cannot be
+written (a file, a directory or a closed stdout), 3 input-format error.
 Identical invocations produce byte-identical stdout; --json emits
 machine-readable output with stable field names.
 """
@@ -11,27 +11,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .classification import (
-    SMALLEST_VERIFIED_ORDER,
-    CyclicResult,
-    ElementaryAbelianResult,
-    SemidirectResult,
-    classify,
-    verify_theorem,
-)
+from .classification import SMALLEST_VERIFIED_ORDER, classify, verify_theorem
 from .core import FiniteGroup, cyclic_group
 from .enumeration import enumerate_groups
-from .errors import BudgetExceededError, GroupError, InvalidActionError
+from .errors import BudgetExceededError, GroupError
 from .fileformat import read_group, write_group, write_group_text
-from .morphisms import (
-    automorphism_group,
-    colour_mismatch,
-    find_isomorphism,
-    fingerprint_mismatch,
-)
+from .morphisms import automorphism_group, find_isomorphism, invariant_mismatch
 from .products import cyclic_power_semidirect, direct_product
 from .recognition import recognize
 from .subgroups import subgroup_from_members
@@ -97,12 +87,11 @@ def _cmd_classify(args) -> int:
     group = _load(args.file)
     result = classify(group)
     payload = {"kind": result.kind, "order": group.order, "iso": list(result.iso.forward.map)}
-    if isinstance(result, CyclicResult):
-        payload["generator"] = result.generator
-    elif isinstance(result, ElementaryAbelianResult):
-        payload["p"] = result.p
-    elif isinstance(result, SemidirectResult):
-        payload.update({"p": result.p, "q": result.q, "k": result.k})
+    payload.update(
+        (f.name, getattr(result, f.name))
+        for f in fields(result)
+        if f.name not in ("iso", "product")
+    )
     if args.json:
         _emit_json(payload)
     else:
@@ -116,7 +105,7 @@ def _cmd_iso(args) -> int:
     g2 = _load(args.file_b)
     iso = find_isomorphism(g1, g2)
     if iso is None:
-        reason = fingerprint_mismatch(g1, g2) or colour_mismatch(g1, g2) or "search exhausted"
+        reason = invariant_mismatch(g1, g2) or "search exhausted"
         if args.json:
             _emit_json({"isomorphic": False, "reason": reason})
         else:
@@ -146,7 +135,7 @@ def _parse_indices(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
-        raise InvalidActionError(f"bad index list {text!r}")
+        raise _UsageError(f"bad index list {text!r}")
 
 
 def _cmd_recognize(args) -> int:
@@ -291,9 +280,9 @@ _HANDLERS = {
 }
 
 # Errors from loading an input file are format errors (exit 3), unusable
-# arguments and errors from writing an output file are usage errors
-# (exit 2), and errors from the requested computation are negative answers
-# (exit 1).
+# arguments and errors from writing an output file or stdout are usage
+# errors (exit 2), and errors from the requested computation are negative
+# answers (exit 1).
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -301,7 +290,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        # Flushed here, so that a closed stdout is reported below.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull, as the Python docs
+        # advise, so that the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3

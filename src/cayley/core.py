@@ -26,6 +26,7 @@ group keeps them, and morphisms checks multiplicativity on them.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import islice, permutations
 from typing import Iterable, Iterator, Sequence
@@ -131,11 +132,30 @@ def _associativity_witness(table: np.ndarray, gens: list[int]) -> tuple[int, int
     return None
 
 
+def _memoized(compute):
+    """compute(g, *args), cached in g._memo under the function and its
+    arguments: the one cache of derived values. A hit is one dict lookup.
+    Every caller gets the same value, so values are immutable or never
+    mutated."""
+
+    @functools.wraps(compute)
+    def cached(g, *args):
+        key = (compute, args)
+        try:
+            return g._memo[key]
+        except KeyError:
+            value = g._memo[key] = compute(g, *args)
+            return value
+
+    return cached
+
+
 class FiniteGroup:
     """A finite group on elements 0..order-1, identity at 0, immutable.
     `table` is its one representation (walks read single entries or the
     columns they need); `generators` are the greedy generators of range(order)
-    found by validation; derived values are cached in `_memo`."""
+    found by validation; derived values are cached in `_memo` by
+    `_memoized`."""
 
     __slots__ = ("order", "table", "inverse", "generators", "_hash", "_memo")
 
@@ -187,25 +207,35 @@ class FiniteGroup:
     def element_order(self, x: int) -> int:
         return len(self.powers(x))
 
+    def conjugates(self, xs, hs=None) -> np.ndarray:
+        """Entry (i, j) is h * x * h^-1 for the i-th h of hs, every element
+        when hs is None, and x = xs[j]: the one conjugation gather. xs is
+        any numpy column index; a slice gathers from a view of the table."""
+        if hs is None:
+            products, inverses = self.table[:, xs], self.inverse[:, None]
+        else:
+            hs = np.asarray(hs, dtype=np.intp)[:, None]
+            products, inverses = self.table[hs, xs], self.inverse[hs]
+        return self.table[products, inverses]
+
+    @_memoized
     def element_orders(self) -> tuple[int, ...]:
-        """Order of every element, indexed by element.
+        """Order of every element, indexed by element (cached).
 
         Each cyclic subgroup is walked once: if x has order m, then x^j
         has order m / gcd(j, m)."""
-        if "element_orders" not in self._memo:
-            orders = [0] * self.order
-            for x in range(self.order):
-                if not orders[x]:
-                    walk = self.powers(x)
-                    for j, y in enumerate(walk):
-                        orders[y] = len(walk) // math.gcd(j, len(walk))
-            self._memo["element_orders"] = tuple(orders)
-        return self._memo["element_orders"]
+        orders = [0] * self.order
+        for x in range(self.order):
+            if not orders[x]:
+                walk = self.powers(x)
+                for j, y in enumerate(walk):
+                    orders[y] = len(walk) // math.gcd(j, len(walk))
+        return tuple(orders)
 
     # Structure predicates.
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        return self.center_size() == self.order
 
     def cyclic_generator(self) -> int | None:
         """Smallest-index element of full order, or None if not cyclic."""
@@ -217,13 +247,11 @@ class FiniteGroup:
     def is_cyclic(self) -> bool:
         return self.cyclic_generator() is not None
 
+    @_memoized
     def centralizer_sizes(self) -> np.ndarray:
         """Number of elements commuting with each element (cached, read-only)."""
-        sizes = self._memo.get("centralizer_sizes")
-        if sizes is None:
-            sizes = (self.table == self.table.T).sum(axis=0)
-            sizes.setflags(write=False)
-            self._memo["centralizer_sizes"] = sizes
+        sizes = (self.table == self.table.T).sum(axis=0)
+        sizes.setflags(write=False)
         return sizes
 
     def center_size(self) -> int:

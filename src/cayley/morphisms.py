@@ -6,10 +6,12 @@ order, its conjugacy class size, the order of its square and its number
 of square roots. The colour key of a group, the sorted tuple of its
 colours, is cached and is the one invariant that the search and the
 enumeration dedup compare: unequal keys reject at once, and equal keys
-never conclude isomorphism. The key determines every field of
-`fingerprint`, which stays as API and names the field that differs in
-`fingerprint_mismatch`; `colour_mismatch` names the colour part that
-differs when the fingerprints agree.
+never conclude isomorphism. Every other invariant is read off the colours
+or the centraliser counts, in one ordered table, INVARIANTS. The
+`fingerprint` tuple holds its first five entries, in the tuple's own field
+order, and `fingerprint_mismatch` and `invariant_mismatch` name the first
+entry that differs between two groups. The table ends with the colour
+key, so `invariant_mismatch` is None exactly when the keys agree.
 
 Isomorphisms are found by generator-image backtracking: a greedy
 irredundant generating sequence of the source (highest element order
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _BLOCK_ENTRIES, FiniteGroup, from_table, greedy_generators
+from .core import _BLOCK_ENTRIES, FiniteGroup, _memoized, from_table, greedy_generators
 from .errors import (
     BudgetExceededError,
     IdentityNotPreservedError,
@@ -183,107 +185,90 @@ def identity_iso(g1: FiniteGroup, g2: FiniteGroup | None = None) -> Iso:
     return iso_from_forward(make_hom(g1, g2, range(g1.order)))
 
 
-# Fingerprints.
+# Element colours and the invariants read off them.
+
+
+@_memoized
+def _element_stats(g: FiniteGroup) -> list[tuple[int, int, int, int]]:
+    """Per-element colour (order, conjugacy class size, order of the
+    square, number of square roots), cached: candidate images in the
+    search must match exactly. Each part is an isomorphism invariant; an
+    isomorphism maps the square roots of x one-to-one onto those of f(x)."""
+    orders = np.asarray(g.element_orders())
+    squares = np.diagonal(g.table)
+    return list(
+        zip(
+            orders.tolist(),
+            (g.order // g.centralizer_sizes()).tolist(),
+            orders[squares].tolist(),
+            np.bincount(squares, minlength=g.order).tolist(),
+        )
+    )
+
+
+@_memoized
+def _colour_key(g: FiniteGroup) -> tuple:
+    """The sorted element colours (cached): equal for isomorphic groups."""
+    return tuple(sorted(_element_stats(g)))
+
+
+def _multiset(part: int):
+    """The sorted values of one colour part over the elements."""
+    return lambda g: tuple(sorted(colour[part] for colour in _element_stats(g)))
+
+
+# Named isomorphism invariants, in the order in which the reason for a
+# non-isomorphism names the first that differs. The first five are the
+# fingerprint's; the colour key, last, agrees only when every one before
+# it does.
+INVARIANTS = (
+    ("orders", lambda g: g.order),
+    ("element-order multisets", _multiset(0)),
+    ("abelian flags", FiniteGroup.is_abelian),
+    ("center sizes", FiniteGroup.center_size),
+    ("conjugacy-class sizes", FiniteGroup.conjugacy_class_sizes),
+    ("orders of squares", _multiset(2)),
+    ("square-root counts", _multiset(3)),
+    ("element colours", _colour_key),
+)
+_FINGERPRINT = INVARIANTS[:5]
 
 
 def fingerprint(g: FiniteGroup) -> tuple:
     """Isomorphism-invariant tuple: order, abelian flag, element-order
     multiset, center size, conjugacy-class-size multiset."""
-    cached = g._memo.get("fingerprint")
-    if cached is None:
-        cached = (
-            g.order,
-            g.is_abelian(),
-            tuple(sorted(g.element_orders())),
-            g.center_size(),
-            g.conjugacy_class_sizes(),
-        )
-        g._memo["fingerprint"] = cached
-    return cached
+    order, orders, abelian, center, classes = (value(g) for _, value in _FINGERPRINT)
+    return (order, abelian, orders, center, classes)
 
 
-FINGERPRINT_FIELDS = (
-    "orders",
-    "abelian flags",
-    "element-order multisets",
-    "center sizes",
-    "conjugacy-class sizes",
-)
-
-# Reporting order: the element-order multiset is the most informative
-# reason, so it is checked before the coarser abelian flag.
-_REPORT_ORDER = (0, 2, 1, 3, 4)
+def _first_mismatch(g1: FiniteGroup, g2: FiniteGroup, invariants) -> str | None:
+    return next((name for name, value in invariants if value(g1) != value(g2)), None)
 
 
 def fingerprint_mismatch(g1: FiniteGroup, g2: FiniteGroup) -> str | None:
-    """Name of the first differing fingerprint component, if any."""
-    f1, f2 = fingerprint(g1), fingerprint(g2)
-    for i in _REPORT_ORDER:
-        if f1[i] != f2[i]:
-            return FINGERPRINT_FIELDS[i]
-    return None
+    """Name of the first differing fingerprint invariant, if any."""
+    return _first_mismatch(g1, g2, _FINGERPRINT)
+
+
+def invariant_mismatch(g1: FiniteGroup, g2: FiniteGroup) -> str | None:
+    """Name of the first differing invariant, or None when the colour keys
+    agree: the reason `cayley iso` gives when no isomorphism exists."""
+    return _first_mismatch(g1, g2, INVARIANTS)
 
 
 # Generator-image backtracking.
 
 
-def _element_stats(g: FiniteGroup) -> list[tuple[int, int, int, int]]:
-    """Per-element colour (order, conjugacy class size, order of the
-    square, number of square roots): candidate images in the search must
-    match exactly. Each part is an isomorphism invariant; an isomorphism
-    maps the square roots of x one-to-one onto those of f(x)."""
-    cached = g._memo.get("element_stats")
-    if cached is None:
-        orders = np.asarray(g.element_orders())
-        squares = np.diagonal(g.table)
-        cached = list(
-            zip(
-                orders.tolist(),
-                (g.order // g.centralizer_sizes()).tolist(),
-                orders[squares].tolist(),
-                np.bincount(squares, minlength=g.order).tolist(),
-            )
-        )
-        g._memo["element_stats"] = cached
-    return cached
-
-
-def _colour_key(g: FiniteGroup) -> tuple:
-    """The sorted element colours (cached): equal for isomorphic groups.
-    It determines every fingerprint field, since the centre is the
-    elements of class size 1 and a class of size s holds s elements."""
-    cached = g._memo.get("colour_key")
-    if cached is None:
-        cached = tuple(sorted(_element_stats(g)))
-        g._memo["colour_key"] = cached
-    return cached
-
-
-COLOUR_PARTS = ("element orders", "class sizes", "orders of squares", "square-root counts")
-
-
-def colour_mismatch(g1: FiniteGroup, g2: FiniteGroup) -> str | None:
-    """Name of the first colour part whose multiset differs between the
-    groups; "element colours" when each part agrees but the colour keys
-    do not; None when the keys agree."""
-    if _colour_key(g1) == _colour_key(g2):
-        return None
-    s1, s2 = _element_stats(g1), _element_stats(g2)
-    for i, name in enumerate(COLOUR_PARTS):
-        if sorted(c[i] for c in s1) != sorted(c[i] for c in s2):
-            return name
-    return "element colours"
-
-
 def generating_sequence(g: FiniteGroup) -> list[int]:
     """Greedy irredundant (not necessarily shortest) generating sequence
     over the elements by descending element order, then by index (cached)."""
-    cached = g._memo.get("generating_sequence")
-    if cached is None:
-        by_order = np.argsort(-np.asarray(g.element_orders()), kind="stable")
-        cached = tuple(greedy_generators(g.table, by_order.tolist()))
-        g._memo["generating_sequence"] = cached
-    return list(cached)
+    return list(_generating_sequence(g))
+
+
+@_memoized
+def _generating_sequence(g: FiniteGroup) -> tuple[int, ...]:
+    by_order = np.argsort(-np.asarray(g.element_orders()), kind="stable")
+    return tuple(greedy_generators(g.table, by_order.tolist()))
 
 
 def _plans(table: np.ndarray, gens: list[int], colours: list[int]) -> list[list[tuple]]:
@@ -310,38 +295,30 @@ def _plans(table: np.ndarray, gens: list[int], colours: list[int]) -> list[list[
     return plans
 
 
-def _search_state(g: FiniteGroup, gens: list[int]) -> tuple[dict, list[list[tuple]], list[list]]:
+@_memoized
+def _search_state(g: FiniteGroup, gens: tuple[int, ...]) -> tuple[dict, list[list], list[list]]:
     """The colour ids, the plans and the per-depth fresh elements of a
     search from g along gens (cached on g per gens): every search from one
     source shares them."""
-    key = ("search_state", tuple(gens))
-    cached = g._memo.get(key)
-    if cached is None:
-        stats = _element_stats(g)
-        colour = {s: c for c, s in enumerate(set(stats))}
-        plans = _plans(g.table, gens, [colour[s] for s in stats])
-        # Per depth, (y, colour) of each element first reached there, in plan order.
-        fresh = [[(y, c) for _, _, y, c, _ in plan if c >= 0] for plan in plans]
-        cached = g._memo[key] = (colour, plans, fresh)
-    return cached
+    stats = _element_stats(g)
+    colour = {s: c for c, s in enumerate(set(stats))}
+    plans = _plans(g.table, gens, [colour[s] for s in stats])
+    # Per depth, (y, colour) of each element first reached there, in plan order.
+    fresh = [[(y, c) for _, _, y, c, _ in plan if c >= 0] for plan in plans]
+    return colour, plans, fresh
 
 
+@_memoized
 def _class_ids(g: FiniteGroup) -> list[int]:
     """Per element x, the least element of its conjugacy class (cached).
     The conjugates h * x * h^-1 over all h are gathered for a block of
     columns x at a time, so memory stays O(order * block)."""
-    cached = g._memo.get("class_ids")
-    if cached is None:
-        n = g.order
-        ids = np.empty(n, dtype=np.int32)
-        block = max(1, _BLOCK_ENTRIES // n)
-        for start in range(0, n, block):
-            ids[start : start + block] = g.table[
-                g.table[:, start : start + block], g.inverse[:, None]
-            ].min(axis=0)
-        cached = ids.tolist()
-        g._memo["class_ids"] = cached
-    return cached
+    n = g.order
+    ids = np.empty(n, dtype=np.int32)
+    block = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, block):
+        ids[start : start + block] = g.conjugates(slice(start, start + block)).min(axis=0)
+    return ids.tolist()
 
 
 def _image_search(
@@ -398,7 +375,7 @@ def _image_search(
         candidates[0] = list(first.values())
     # Ids of the element colours. free[w] is w's colour until w is used,
     # then -1, so one comparison checks injectivity and colour.
-    colour, plans, fresh = _search_state(g1, gens)
+    colour, plans, fresh = _search_state(g1, tuple(gens))
     m = [0] + [-1] * (n - 1)
     free = [-1] + [colour[s] for s in stats2[1:]]
     columns: list[list[int]] = [[]] * len(gens)
@@ -491,6 +468,7 @@ class AutGroup:
         return self._index[perm]
 
 
+@_memoized
 def automorphism_group(g: FiniteGroup) -> AutGroup:
     """All automorphisms of g, found by generator-image backtracking and
     cached on g, so every caller holding g shares one carrier.
@@ -499,18 +477,13 @@ def automorphism_group(g: FiniteGroup) -> AutGroup:
     automorphism is keyed by its images of generating_sequence(g), every
     composite's key is gathered in one step, and keys are looked up by
     binary search among the sorted keys of the automorphisms."""
-    cached = g._memo.get("automorphism_group")
-    if cached is not None:
-        return cached
     gens = generating_sequence(g)
     maps = _image_search(g, g, gens, find_all=True)
     ident = tuple(range(g.order))
     perms = tuple([ident] + sorted(m for m in maps if m != ident))
     # The trivial group has no generators; its one automorphism is keyed by 0.
     carrier = from_table(len(perms), _composition_table(g.table, perms, gens or [0]))
-    index = {p: i for i, p in enumerate(perms)}
-    g._memo["automorphism_group"] = AutGroup(g, carrier, perms, index)
-    return g._memo["automorphism_group"]
+    return AutGroup(g, carrier, perms, {p: i for i, p in enumerate(perms)})
 
 
 def _composition_table(
@@ -555,9 +528,7 @@ def _composition_table(
 def conjugation_perms(g: FiniteGroup, promoted: AsGroup, xs) -> np.ndarray:
     """Row i is the permutation n -> x n x^-1 of a promoted normal subgroup,
     for x = xs[i], in subgroup indices: one int32 (len(xs), |N|) gather."""
-    xs = np.asarray(xs, dtype=np.intp)
-    products = g.table[np.ix_(xs, promoted.embed)]
-    return promoted.section[g.table[products, g.inverse[xs][:, None]]]
+    return promoted.section[g.conjugates(list(promoted.embed), xs)]
 
 
 def conj_normal(g: FiniteGroup, n: Subgroup) -> Hom:

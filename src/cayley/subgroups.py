@@ -8,6 +8,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from ._fillcore import smallest_prime_factor
 from .core import FiniteGroup, closure_indices, from_table, greedy_generators
 from .errors import (
     MismatchedParentError,
@@ -19,14 +20,7 @@ from .errors import (
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and smallest_prime_factor(n) == n
 
 
 @dataclass(frozen=True)
@@ -118,15 +112,14 @@ def join(a: Subgroup, b: Subgroup) -> Subgroup:
 
 def is_normal(h: Subgroup) -> bool:
     """Whether x m x^-1 lies in H for every x in the parent and m in H."""
-    g = h.parent
     members = list(h.members)
-    conjugates = g.table[g.table[:, members], g.inverse[:, None]]
-    return bool(_mask(g.order, members)[conjugates].all())
+    return bool(_mask(h.parent.order, members)[h.parent.conjugates(members)].all())
 
 
 def conjugate_subgroup(h: Subgroup, g: int) -> Subgroup:
     """The subgroup g H g^-1."""
-    return Subgroup(h.parent, tuple(sorted(h.parent.conj(m, g) for m in h.members)))
+    conjugates = h.parent.conjugates(list(h.members), [h.parent._element(g)])
+    return Subgroup(h.parent, tuple(sorted(conjugates[0].tolist())))
 
 
 def element_of_order(group: FiniteGroup, p: int) -> int:

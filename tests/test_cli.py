@@ -220,6 +220,32 @@ def test_recognize_negative_index(capsys, tmp_path):
     assert err == "error: NotSubgroup: index -1 out of range\n"
 
 
+def test_recognize_malformed_index_list_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "c3.cayley"
+    write_group(cyclic_group(3), path)
+    code, out, err = run(capsys, ["recognize", str(path), "--n", "0,1,x", "--h", "0"])
+    assert (code, out, err) == (2, "", "error: bad index list '0,1,x'\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_2_without_a_traceback(c6_file, unbuffered):
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails: inside the command when unbuffered, else at main's flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cayley.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env["PYTHONUNBUFFERED"] = unbuffered
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cayley.cli", "aut", c6_file],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
