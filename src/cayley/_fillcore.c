@@ -11,11 +11,10 @@
    exclusion sets are uint64_t bitmasks, which limits the order to 64.
 
    Both kernels stop propagating once all n^2 cells are set and return
-   Light's criterion on the complete table over the generators: a
-   complete table can set no cell, a violated triple still has its
-   last-set cell ahead on the trail, and every label is a product of
-   generators, so the criterion fails exactly when the rest of the trail
-   would (the full argument is in _fillcore.py).
+   Light's criterion on the complete table over the generators, and
+   raise AssertionError on a cell still unset once the generator rows
+   close, which propagation rules out; _fillcore.py proves both. Each
+   leaf is one bytes object of n^2 labels.
 
    Built by setup.py as the optional module cayley._fillcore_c. */
 
@@ -206,16 +205,18 @@ static void add_generator(Search *s)
 
 static int emit_leaf(Search *s)
 {
-    PyObject *leaf = PyTuple_New(s->size);
+    PyObject *leaf = PyBytes_FromStringAndSize(NULL, s->size);
     if (leaf == NULL)
         return -1;
+    char *out = PyBytes_AS_STRING(leaf);
     for (int i = 0; i < s->size; i++) {
-        PyObject *v = PyLong_FromLong(s->table[i]);
-        if (v == NULL) {
+        if (s->table[i] == -1) {
             Py_DECREF(leaf);
+            PyErr_Format(PyExc_AssertionError, "cell (%d, %d) is unset after the generator rows closed",
+                         i / s->n, i % s->n);
             return -1;
         }
-        PyTuple_SET_ITEM(leaf, i, v);
+        out[i] = (char)s->table[i];
     }
     int rc = PyList_Append(s->leaves, leaf);
     Py_DECREF(leaf);
@@ -261,31 +262,8 @@ static int search(Search *s, int qi)
         return 0;
     }
     nlab = s->nlab;
-    if (nlab == n) {
-        /* Propagation completes every row once the generator rows close;
-           the hole branch is a backstop, as in the pure kernel. */
-        int hole = -1;
-        for (int idx = 0; idx < s->size; idx++) {
-            if (s->table[idx] == -1) {
-                hole = idx;
-                break;
-            }
-        }
-        if (hole == -1)
-            return emit_leaf(s);
-        int a = hole / n, b = hole % n;
-        forbidden = s->rowmask[a] | s->colmask[b];
-        for (int v = 0; v < n; v++) {
-            if (forbidden >> v & 1)
-                continue;
-            s->nodes++;
-            mark = s->trail_len;
-            if (set_cell(s, a, b, v) && propagate(s, mark) && search(s, qi) < 0)
-                return -1;
-            unwind(s, mark);
-        }
-        return 0;
-    }
+    if (nlab == n)
+        return emit_leaf(s);
     /* The labeled set is a complete proper subgroup: its order must
        divide n and the next closure at least doubles it. */
     if (n % nlab != 0 || nlab * 2 > n)
@@ -335,7 +313,7 @@ static PyObject *enumerate_group_tables(PyObject *module, PyObject *arg)
     if (overflow || n < 1 || n > MAX_KERNEL_ORDER)
         return PyErr_Format(PyExc_ValueError, "order must be in 1..%d", MAX_KERNEL_ORDER);
     if (n == 1)
-        return Py_BuildValue("([(i)]i)", 0, 1);
+        return Py_BuildValue("([y#]i)", "\0", (Py_ssize_t)1, 1);
 
     Search s = {0};
     PyObject *result = NULL;

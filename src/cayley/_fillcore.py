@@ -31,11 +31,25 @@ of the trail, which reaches the same closure. A complete table can set
 no cell, so the rest of the trail could only find a violated triple. Each
 triple is checked when the last of its cells is processed, so a violated
 triple still has that cell ahead on the trail, and the rest of the trail
-fails exactly when some triple fails. Every label is a product of a
-generator and an earlier label (the label 1 cycle included), so the
-elements a with (x*a)*y = x*(a*y) for all x, y, a set that contains 0 and
-is closed under products, are all of them as soon as they contain the
-generators: the criterion decides associativity exactly.
+fails exactly when some triple fails. Every label c other than 0 was
+created as c = g*u for a generator g and an earlier label u (g = g*0 for
+a generator, and k+1 = 1*k in the C_p prefix), so the elements a with
+(x*a)*y = x*(a*y) for all x, y, a set that contains 0 and is closed under
+products, are all of them as soon as they contain the generators: the
+criterion decides associativity exactly.
+
+When the scan queue is exhausted with all n labels, the table is
+complete, and an unset cell there raises AssertionError naming it.
+Proof: unless the table is full, every set cell has been processed, as
+each propagation that returned True processed its whole trail suffix.
+Each pair of a generator g and a label u is queued, so every generator
+row is full, and create_label fills row 0. Let c = g*u as above, and let
+the rows of all labels below c be full. For each k the cells g*u = c,
+u*k = w and g*w are set; whichever of them was processed last set
+c*k = g*w, by propagate's first, second or fourth rule: (a*b)*k =
+a*(b*k) with a*b = g*u, (i*a)*b = i*(a*b) with a*b = u*k, or
+a*b = (a*j)*k with a*b = g*w and j*k = u*k. So row c is full, and by
+induction every row is.
 
 This is the reference kernel. The C extension _fillcore_c, built from
 _fillcore.c with the same functions, applies the same rules to reach the
@@ -80,17 +94,18 @@ def associative(rows: bytearray, row: list, gens: list[int], n: int) -> bool:
     return True
 
 
-def enumerate_group_tables(n: int) -> tuple[list[tuple[int, ...]], int]:
+def enumerate_group_tables(n: int) -> tuple[list[bytes], int]:
     """All group tables of order n reached by the canonical search.
 
-    Returns (tables, nodes): row-major tables in deterministic search
-    order (complete up to isomorphism, possibly with isomorphic
-    duplicates), and the number of decision nodes explored.
+    Returns (tables, nodes): row-major tables, each one bytes object of
+    n*n labels, in deterministic search order (complete up to
+    isomorphism, possibly with isomorphic duplicates), and the number of
+    decision nodes explored.
     """
     if not 1 <= n <= MAX_KERNEL_ORDER:
         raise ValueError(f"order must be in 1..{MAX_KERNEL_ORDER}")
     if n == 1:
-        return [(0,)], 1
+        return [b"\x00"], 1
 
     W, U = _STRIDE, _UNKNOWN
     # The partial table x*y = v four times over, so that each rule reads
@@ -111,7 +126,7 @@ def enumerate_group_tables(n: int) -> tuple[list[tuple[int, ...]], int]:
     gens: list[int] = []
     scan_u: list[int] = []
     scan_g: list[int] = []
-    leaves: list[tuple[int, ...]] = []
+    leaves: list[bytes] = []
     nlab = 0
     nodes = 0
 
@@ -255,22 +270,12 @@ def enumerate_group_tables(n: int) -> tuple[list[tuple[int, ...]], int]:
             return
         labeled = nlab
         if labeled == n:
-            # Propagation provably completes every row once the generator
-            # rows close; the hole branch below is a backstop so that
-            # search completeness never rests on propagation strength.
+            # Complete once the generator rows close (module docstring).
             table = b"".join(row[x][:n] for x in range(n))
-            if U not in table:
-                leaves.append(tuple(table))
-                return
-            a, b = cells[table.index(U)]
-            for v in range(n):
-                if left[v * W + a] != U or right[v * W + b] != U:
-                    continue
-                nodes += 1
-                mark = len(trail)
-                if set_cell(a, b, v) and propagate(mark):
-                    search(qi)
-                unwind(mark)
+            if U in table:
+                a, b = cells[table.index(U)]
+                raise AssertionError(f"cell ({a}, {b}) is unset after the generator rows closed")
+            leaves.append(table)
             return
         # The labeled set is a complete proper subgroup: its order must
         # divide n and the next closure at least doubles it.

@@ -61,12 +61,25 @@ def _load(path: str) -> FiniteGroup:
         raise _InputError(str(exc)) from exc
 
 
+def _check_order(n: int) -> None:
+    if n < 1:
+        raise _UsageError(f"order {n} is not a group order; it must be at least 1")
+
+
+def _check_out(out: str | None) -> None:
+    # Path("") is ".", so an empty --out would name the working directory.
+    if out == "":
+        raise _UsageError("--out is empty; it must name a file or directory")
+
+
 def _map_line(mapping) -> str:
     return "map: " + " ".join(str(v) for v in mapping)
 
 
 def _cmd_construct(args) -> int:
+    _check_out(args.out)
     if args.what == "cyclic":
+        _check_order(args.n)
         group = cyclic_group(args.n)
         _print_group(group, args.out, [f"cyclic group of order {args.n}"])
         return 0
@@ -78,6 +91,8 @@ def _cmd_construct(args) -> int:
         return 0
     # sdp: C_q x| C_p with the generator of C_p acting as r -> r^k.
     q, p, k = args.q, args.p, args.k
+    _check_order(q)
+    _check_order(p)
     group = cyclic_power_semidirect(q, p, k).group
     _print_group(group, args.out, [f"C_{q} x| C_{p} with action r -> r^{k}"])
     return 0
@@ -165,8 +180,8 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.n < 1:
-        raise _UsageError(f"order {args.n} is not a group order; it must be at least 1")
+    _check_order(args.n)
+    _check_out(args.out)
     report = enumerate_groups(args.n, budget=args.budget)
     if args.out:
         out_dir = Path(args.out)

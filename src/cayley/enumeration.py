@@ -5,7 +5,8 @@ The table search is a kernel with one algorithm in two builds: the
 optional C extension _fillcore_c (compiled from _fillcore.c by setup.py)
 and the pure-Python reference _fillcore. The compiled one is used whenever
 it imports, otherwise the pure one; BACKEND names the choice. Both return
-identical tables in identical order.
+identical tables in identical order, each leaf one bytes object of n^2
+labels in row-major order, read here as a uint8 array without a copy.
 
 The kernel may emit isomorphic duplicates. Each leaf is first wrapped
 unvalidated, only to compute its colour key (the sorted element colours,
@@ -44,7 +45,7 @@ except ImportError:  # pragma: no cover - depends on the build environment
     BACKEND = "pure"
 
 
-def enumerate_tables(n: int) -> tuple[list[tuple[int, ...]], int]:
+def enumerate_tables(n: int) -> tuple[list[bytes], int]:
     """Raw kernel run: canonical-search tables plus the node count."""
     return _kernel.enumerate_group_tables(n)
 
@@ -118,8 +119,7 @@ def enumerate_groups(n: int, budget: int | None = None) -> EnumerationReport:
     buckets: dict[tuple, list[FiniteGroup]] = {}
     rejections = 0
     for flat in tables:
-        # Kernel entries lie below HARD_ORDER_LIMIT, so each fits in a byte.
-        table = np.frombuffer(bytes(flat), np.uint8).reshape(n, n)
+        table = np.frombuffer(flat, np.uint8).reshape(n, n)
         leaf = _leaf(n, table)
         if leaf is not None and any(
             _is_relabelling(rep, leaf) for rep in buckets.get(_colour_key(leaf), ())

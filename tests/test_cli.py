@@ -309,6 +309,32 @@ def test_enumerate_below_order_one_is_a_usage_error(capsys, n):
     assert err == f"error: order {n} is not a group order; it must be at least 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv,n",
+    [
+        (["construct", "cyclic", "0"], "0"),
+        (["construct", "cyclic", "-3"], "-3"),
+        (["construct", "sdp", "0", "3", "--k", "1"], "0"),
+        (["construct", "sdp", "7", "-1", "--k", "2"], "-1"),
+    ],
+)
+def test_construct_below_order_one_is_a_usage_error(capsys, argv, n):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: order {n} is not a group order; it must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["construct", "cyclic", "4", "--out", ""], ["enumerate", "4", "--out", ""]]
+)
+def test_empty_out_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --out is empty; it must name a file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_enumerate_deterministic_stdout(capsys):
     _, first, _ = run(capsys, ["enumerate", "9", "--json"])
     _, second, _ = run(capsys, ["enumerate", "9", "--json"])

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cayley
 from cayley import _fillcore, enumeration
 from cayley.core import cyclic_group, from_table
 from cayley.enumeration import count_groups, enumerate_groups, enumerate_tables
@@ -92,7 +96,7 @@ def _kernel_outcome(kernel, n):
 
 KERNEL_EDGE_CASES = {
     0: ("ValueError", "order must be in 1..64"),
-    1: ([(0,)], 1),
+    1: ([b"\x00"], 1),
     65: ("ValueError", "order must be in 1..64"),
 }
 
@@ -102,13 +106,27 @@ def test_backend_parity(compiled_kernel, n):
     # Same tables in the same order, the same node count, the same errors.
     assert compiled_kernel.MAX_KERNEL_ORDER == _fillcore.MAX_KERNEL_ORDER
     expected = _kernel_outcome(_fillcore, n)
-    assert _kernel_outcome(compiled_kernel, n) == expected
+    actual = _kernel_outcome(compiled_kernel, n)
+    assert actual == expected
     if n in KERNEL_EDGE_CASES:
         assert expected == KERNEL_EDGE_CASES[n]
+    else:
+        # Each leaf is one bytes object of n^2 labels, each label below n.
+        for tables, _ in (expected, actual):
+            assert tables
+            for leaf in tables:
+                assert type(leaf) is bytes and len(leaf) == n * n and max(leaf) < n
 
 
-# sha256 of repr(enumerate_group_tables(n)) on the pure kernel: the tables,
-# their order and the node count. Recorded before propagation moved to byte
+def _digest(result):
+    """sha256 of a kernel result with each leaf as a tuple of ints, the form
+    in which the kernels emitted leaves when the digests were recorded."""
+    tables, nodes = result
+    return hashlib.sha256(repr(([tuple(t) for t in tables], nodes)).encode()).hexdigest()
+
+
+# _digest(enumerate_group_tables(n)) on the pure kernel: the tables, their
+# order and the node count. Recorded before propagation moved to byte
 # tables; this needs no compiler, unlike the parity test.
 PURE_KERNEL_SHA256 = {
     1: "283652068034d2ff305e6766a045c402895c8ec6ae71380fed26cb841996d0b2",
@@ -138,8 +156,7 @@ PURE_KERNEL_SHA256 = {
 
 @pytest.mark.parametrize("n", sorted(PURE_KERNEL_SHA256))
 def test_pure_kernel_output_is_pinned(n):
-    result = _fillcore.enumerate_group_tables(n)
-    assert hashlib.sha256(repr(result).encode()).hexdigest() == PURE_KERNEL_SHA256[n]
+    assert _digest(_fillcore.enumerate_group_tables(n)) == PURE_KERNEL_SHA256[n]
 
 
 # A Latin table with identity 0 that is not associative ((2*2)*2 != 2*(2*2)),
@@ -162,7 +179,7 @@ ORDER24_SHA256 = "e49683f6a2cb6294b14f94e1738afa84d8aa88b9c7cd1f16ff5a067e937479
 def test_compiled_kernel_order24_is_pinned(compiled_kernel):
     result = compiled_kernel.enumerate_group_tables(24)
     assert (len(result[0]), result[1]) == (2725, 147201)
-    assert hashlib.sha256(repr(result).encode()).hexdigest() == ORDER24_SHA256
+    assert _digest(result) == ORDER24_SHA256
 
 
 @pytest.mark.skipif(
@@ -170,8 +187,7 @@ def test_compiled_kernel_order24_is_pinned(compiled_kernel):
     reason="about 10 s on the pure kernel; set CAYLEY_STRESS=1 to run",
 )
 def test_pure_kernel_order24_is_pinned():
-    result = _fillcore.enumerate_group_tables(24)
-    assert hashlib.sha256(repr(result).encode()).hexdigest() == ORDER24_SHA256
+    assert _digest(_fillcore.enumerate_group_tables(24)) == ORDER24_SHA256
 
 
 def _byte_rows(rows):
@@ -226,6 +242,38 @@ def test_census_agrees_on_small_orders():
 def test_order32_stress_count():
     # 51 isomorphism classes, deduplicated from 54462 canonical tables.
     assert count_groups(32, budget=32) == 51
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CAYLEY_STRESS"),
+    reason="about 25 s on the compiled kernel; set CAYLEY_STRESS=1 to run",
+)
+def test_order32_leaves_fit_in_a_small_peak(compiled_kernel):
+    # The 54,462 order-32 leaves take about 58 MB as bytes, and would take
+    # about 450 MB as tuples of ints. The child reports its own peak
+    # resident set (VmHWM), which a forked child's ru_maxrss cannot: that
+    # starts from the parent's resident pages.
+    child = (
+        "import importlib.util, sys\n"
+        "from cayley import enumeration\n"
+        "spec = importlib.util.spec_from_file_location('cayley._fillcore_c', sys.argv[1])\n"
+        "kernel = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(kernel)\n"
+        "enumeration._kernel = kernel\n"
+        "report = enumeration.enumerate_groups(32, budget=32)\n"
+        "assert (report.count, report.stats.tables_completed) == (51, 54462)\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(line for line in status if line.startswith('VmHWM:')))\n"
+    )
+    src = str(Path(cayley.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, compiled_kernel.__file__],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_kb = int(proc.stdout.split("VmHWM:")[1].split()[0])
+    assert peak_kb < 150 * 1024
 
 
 def _count_dedup_negatives(monkeypatch, n):
@@ -298,10 +346,6 @@ def test_only_representatives_are_validated(monkeypatch):
     assert calls == [16] * 14
 
 
-def _flat(rows):
-    return tuple(v for row in rows for v in row)
-
-
 def _identity_bordered(n, entry):
     """Rows and columns of 0 are the identity; every other cell is entry(x, y)."""
     return [[x if y == 0 else y if x == 0 else entry(x, y) for y in range(n)] for x in range(n)]
@@ -319,10 +363,11 @@ NOT_GROUP_TABLES = {
 
 
 class _StubKernel:
-    """A kernel that emits the given leaves for order 6."""
+    """A kernel that emits the given leaves for order 6, as bytes like
+    the real kernels."""
 
     def __init__(self, leaves):
-        self.leaves = [_flat(rows) for rows in leaves]
+        self.leaves = [bytes(v for row in rows for v in row) for rows in leaves]
 
     def enumerate_group_tables(self, n):
         assert n == 6
