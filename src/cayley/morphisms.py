@@ -412,7 +412,8 @@ def _image_search(
                     return found
                 if len(found) > AUT_CARRIER_LIMIT:
                     raise BudgetExceededError(
-                        f"more than {AUT_CARRIER_LIMIT} automorphisms; raise the carrier limit"
+                        f"more than {AUT_CARRIER_LIMIT} automorphisms,"
+                        " the fixed limit of the automorphism carrier"
                     )
                 _undo(m, free, fresh[depth])
                 continue
@@ -454,18 +455,27 @@ class AutGroup:
     """The automorphism group of a group, materialized as a FiniteGroup.
 
     Element i of the carrier is the automorphism perms[i], the tuple of
-    images of the base elements, checked multiplicative when the carrier
+    images of the group's elements, checked multiplicative when the carrier
     was built; index 0 is the identity and the operation is composition.
+    hom is the one builder of an action into the carrier, validated by
+    make_hom like every other Hom.
     """
 
-    base: FiniteGroup
     carrier: FiniteGroup
     perms: tuple[tuple[int, ...], ...]
     _index: dict[tuple[int, ...], int] = field(repr=False, compare=False, default=None)
 
     def auto_index(self, perm: tuple[int, ...]) -> int:
-        """Carrier index of an automorphism given as a permutation of base."""
-        return self._index[perm]
+        """Carrier index of an automorphism given as its images;
+        NotClosedError naming perm if it is not one."""
+        try:
+            return self._index[perm]
+        except KeyError:
+            raise NotClosedError(f"{perm} is not an automorphism of the group") from None
+
+    def hom(self, source: FiniteGroup, rows) -> Hom:
+        """The action source -> carrier sending x to the automorphism rows[x]."""
+        return make_hom(source, self.carrier, [self.auto_index(tuple(row)) for row in rows])
 
 
 @_memoized
@@ -483,7 +493,7 @@ def automorphism_group(g: FiniteGroup) -> AutGroup:
     perms = tuple([ident] + sorted(m for m in maps if m != ident))
     # The trivial group has no generators; its one automorphism is keyed by 0.
     carrier = from_table(len(perms), _composition_table(g.table, perms, gens or [0]))
-    return AutGroup(g, carrier, perms, {p: i for i, p in enumerate(perms)})
+    return AutGroup(carrier, perms, {p: i for i, p in enumerate(perms)})
 
 
 def _composition_table(
@@ -539,10 +549,8 @@ def conj_normal(g: FiniteGroup, n: Subgroup) -> Hom:
     if not is_normal(n):
         raise NotNormalError("N")
     promoted = as_group(n)
-    aut = automorphism_group(promoted.group)
     perms = conjugation_perms(g, promoted, range(g.order)).tolist()
-    mapping = [aut.auto_index(tuple(row)) for row in perms]
-    return make_hom(g, aut.carrier, mapping)
+    return automorphism_group(promoted.group).hom(g, perms)
 
 
 def cyclic_hom(source: FiniteGroup, target: FiniteGroup, image: int) -> Hom:

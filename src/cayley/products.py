@@ -63,9 +63,7 @@ class ProductGroup:
     @functools.cached_property
     def phi(self) -> Hom:
         """The action as a homomorphism into the carrier of Aut(N)."""
-        aut = automorphism_group(self.n_factor)
-        images = tuple(aut.auto_index(tuple(row)) for row in self.perms.tolist())
-        return Hom(self.h_factor, aut.carrier, images)
+        return automorphism_group(self.n_factor).hom(self.h_factor, self.perms.tolist())
 
 
 def _assemble(n_grp: FiniteGroup, h_grp: FiniteGroup, perms: np.ndarray) -> ProductGroup:
@@ -113,9 +111,10 @@ def cyclic_power_semidirect(q: int, p: int, k: int) -> ProductGroup:
         raise InvalidActionError("factor orders must be positive")
     if q * p > MAX_ORDER:
         raise SizeCapError(f"product order {q * p} exceeds the cap of {MAX_ORDER}")
-    if not 1 <= k < q or math.gcd(k, q) != 1:
-        raise InvalidActionError(f"k must lie in 1..{q - 1} and be coprime to {q}")
-    if pow(k, p, q) != 1:
+    # C_1 has one automorphism, k = 1, and 1 is 0 modulo 1.
+    if not 1 <= k <= max(q - 1, 1) or math.gcd(k, q) != 1:
+        raise InvalidActionError(f"k must lie in 1..{max(q - 1, 1)} and be coprime to {q}")
+    if pow(k, p, q) != 1 % q:
         raise InvalidActionError(f"k^p = {k}^{p} is not 1 modulo {q}")
     powers = np.array([pow(k, j, q) for j in range(p)], dtype=np.int64)
     perms = (powers[:, None] * np.arange(q) % q).astype(np.int32)

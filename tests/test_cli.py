@@ -83,6 +83,29 @@ def test_construct_sdp(tmp_path, capsys, s3_file):
     assert "InvalidAction" in err
 
 
+@pytest.mark.parametrize("p", ["1", "3"])
+def test_construct_sdp_over_the_trivial_group(capsys, p):
+    code, out, err = run(capsys, ["construct", "sdp", "1", p, "--k", "1"])
+    assert (code, err) == (0, "")
+    assert out.startswith(f"# C_1 x| C_{p} with action r -> r^1\n")
+    # The rows of C_p, under their own comment line.
+    assert out.splitlines()[1:] == run(capsys, ["construct", "cyclic", p])[1].splitlines()[1:]
+
+
+def test_aut_beyond_the_carrier_limit_names_no_option(tmp_path, capsys):
+    # |Aut(C11 x C11)| = |GL(2, 11)| = 13,200.
+    c11 = tmp_path / "c11.cayley"
+    square = tmp_path / "c11xc11.cayley"
+    run(capsys, ["construct", "cyclic", "11", "--out", str(c11)])
+    run(capsys, ["construct", "direct", str(c11), str(c11), "--out", str(square)])
+    code, out, err = run(capsys, ["aut", str(square)])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: BudgetExceeded: more than 2048 automorphisms,"
+        " the fixed limit of the automorphism carrier\n"
+    )
+
+
 def test_construct_sdp_composite_factors(tmp_path, capsys):
     # C5 x| C4 with r -> r^2 (2^4 = 16 = 1 mod 5): the full holomorph-style twist.
     out_file = tmp_path / "f20.cayley"

@@ -269,6 +269,26 @@ def test_aut_elementary_abelian_nine():
     assert automorphism_group(c3c3).carrier.order == 48
 
 
+def test_a_permutation_that_is_not_an_automorphism_is_named(s3):
+    aut = automorphism_group(s3)
+    swap = (0, 2, 1, 3, 4, 5)
+    with pytest.raises(NotClosedError, match=r"\(0, 2, 1, 3, 4, 5\) is not an automorphism"):
+        aut.auto_index(swap)
+    with pytest.raises(NotClosedError, match=r"\(0, 2, 1, 3, 4, 5\) is not an automorphism"):
+        aut.hom(cyclic_group(2), [aut.perms[0], swap])
+
+
+def test_aut_hom_validates_the_action():
+    # Rows are automorphisms given as images; the map into the carrier is
+    # checked multiplicative like every other Hom.
+    aut = automorphism_group(cyclic_group(5))
+    doubling = tuple(2 * x % 5 for x in range(5))
+    phi = aut.hom(cyclic_group(4), [tuple(pow(2, j, 5) * x % 5 for x in range(5)) for j in range(4)])
+    assert phi.map[1] == aut.auto_index(doubling) and phi.target == aut.carrier
+    with pytest.raises(NotMultiplicativeError):
+        aut.hom(cyclic_group(2), [aut.perms[0], doubling])
+
+
 def test_aut_budget(monkeypatch):
     c2 = cyclic_group(2)
     c8_elementary = direct_product(direct_product(c2, c2).group, c2).group

@@ -95,6 +95,14 @@ def test_semidirect_rejects_bad_action():
         semidirect_product(c3, c5, phi)
 
 
+def test_cyclic_power_semidirect_over_the_trivial_group():
+    # C_1 x| C_p is C_p: k = 1 is the identity action, and 1 is 0 mod 1.
+    for p in (1, 3):
+        assert cyclic_power_semidirect(1, p, 1).group == cyclic_group(p)
+    with pytest.raises(InvalidActionError, match=r"k must lie in 1\.\.1 and be coprime to 1"):
+        cyclic_power_semidirect(1, 3, 2)
+
+
 def test_pair_indexing():
     sdp, _ = build_sdp(5, 2, 1)
     for n in range(5):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -15,9 +16,11 @@ from cayley.errors import (
 )
 from cayley.morphisms import (
     automorphism_group,
+    conj_normal,
     find_isomorphism,
     homs_to_aut,
     identity_iso,
+    restrict,
 )
 from cayley.products import direct_product, sdp_congr, semidirect_product
 from cayley.recognition import (
@@ -51,8 +54,6 @@ def test_s3_semidirect_witness(s3):
     witness.iso.validate()
     assert find_isomorphism(witness.product.group, s3) is not None
     # The witness action is exactly the conjugation hom restricted to H.
-    from cayley.morphisms import conj_normal, restrict
-
     assert witness.phi.map == restrict(conj_normal(s3, a3), t2).map
     # Brute-force factorization check: the iso inverts g = n*h.
     for ni, n_elem in enumerate((0, 3, 4)):
@@ -157,6 +158,52 @@ def test_recognizers_check_the_hypotheses_in_order():
                     for hi, h_elem in enumerate(h.members):
                         assert iso.apply(g.mul(n_elem, h_elem)) == ni * len(h) + hi
     assert calls == 3192
+
+
+def _corpus():
+    """S3 and the representatives of orders 8 and 12, each with every pair
+    of its small subgroups."""
+    groups = [symmetric_group(3)]
+    groups += cached_enumeration(8).representatives + cached_enumeration(12).representatives
+    for g in groups:
+        subs = _small_subgroups(g)
+        for n, h in itertools.product(subs, subs):
+            yield g, n, h
+
+
+JOIN_WITNESS_SHA256 = "5b9d9662e4a30efb9f032848cc074d05089b43ee3617d8e56646c96314afc3fa"
+
+
+def test_join_witnesses_are_pinned():
+    # The error, or the product, action, iso and embedding of every call.
+    outcomes = []
+    for g, n, h in _corpus():
+        try:
+            w = internal_semidirect_join(g, n, h)
+        except GroupError as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+            continue
+        outcomes.append((
+            w.product.group.table.tolist(),
+            w.product.perms.tolist(),
+            w.iso.source.table.tolist(),
+            w.iso.forward.map,
+            w.join_embedding,
+        ))
+    assert len(outcomes) == 1064
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == JOIN_WITNESS_SHA256
+
+
+def test_witness_action_is_conjugation_restricted_to_h():
+    checked = 0
+    for g, n, h in _corpus():
+        try:
+            witness = internal_semidirect(g, n, h)
+        except GroupError:
+            continue
+        assert witness.phi.map == restrict(conj_normal(g, n), h).map
+        checked += 1
+    assert checked == 139
 
 
 def _dispatch_by_join(g, n, h):
