@@ -10,6 +10,10 @@
    int16 array with a per-value list of cells, and row and column
    exclusion sets are uint64_t bitmasks, which limits the order to 64.
 
+   search has the same shape in both: one loop over a cell's candidates,
+   and one restore of nlab, the generators and the scan queue per call
+   (on the error path too, where it does no harm).
+
    Both kernels stop propagating once all n^2 cells are set and return
    Light's criterion on the complete table over the generators, and
    raise AssertionError on a cell still unset once the generator rows
@@ -226,59 +230,38 @@ static int emit_leaf(Search *s)
 /* Returns 0, or -1 with a Python exception set. */
 static int search(Search *s, int qi)
 {
-    const int n = s->n;
-    int nlab, mark, glen, slen;
-    uint64_t forbidden;
-    while (qi < s->scan_len) {
+    const int n = s->n, nlab = s->nlab, glen = s->gens_len, slen = s->scan_len, mark = s->trail_len;
+    int rc = 0;
+    while (qi < slen && s->table[s->scan_g[qi] * n + s->scan_u[qi]] != -1)
+        qi++;
+    if (qi < slen) {
+        /* The fresh label v == nlab is in no row or column yet. */
         int g = s->scan_g[qi], u = s->scan_u[qi];
-        if (s->table[g * n + u] != -1) {
-            qi++;
-            continue;
-        }
-        nlab = s->nlab;
-        forbidden = s->rowmask[g] | s->colmask[u];
-        for (int v = 0; v < nlab; v++) {
+        uint64_t forbidden = s->rowmask[g] | s->colmask[u];
+        for (int v = 0; v <= nlab && v < n && rc == 0; v++) {
             if (forbidden >> v & 1)
                 continue;
             s->nodes++;
-            mark = s->trail_len;
-            if (set_cell(s, g, u, v) && propagate(s, mark) && search(s, qi + 1) < 0)
-                return -1;
+            if (v == nlab)
+                create_label(s);
+            if (set_cell(s, g, u, v) && propagate(s, mark))
+                rc = search(s, qi + 1);
             unwind(s, mark);
         }
-        if (nlab < n) {
-            s->nodes++;
-            mark = s->trail_len;
-            glen = s->gens_len;
-            slen = s->scan_len;
-            int c = create_label(s);
-            if (set_cell(s, g, u, c) && propagate(s, mark) && search(s, qi + 1) < 0)
-                return -1;
-            unwind(s, mark);
-            s->nlab = nlab;
-            s->gens_len = glen;
-            s->scan_len = slen;
-        }
-        return 0;
+    } else if (nlab == n) {
+        rc = emit_leaf(s);
+    } else if (n % nlab == 0 && nlab * 2 <= n) {
+        /* The labeled set is a complete proper subgroup: its order must
+           divide n and the next closure at least doubles it. */
+        add_generator(s);
+        if (propagate(s, mark))
+            rc = search(s, qi);
+        unwind(s, mark);
     }
-    nlab = s->nlab;
-    if (nlab == n)
-        return emit_leaf(s);
-    /* The labeled set is a complete proper subgroup: its order must
-       divide n and the next closure at least doubles it. */
-    if (n % nlab != 0 || nlab * 2 > n)
-        return 0;
-    mark = s->trail_len;
-    glen = s->gens_len;
-    slen = s->scan_len;
-    add_generator(s);
-    if (propagate(s, mark) && search(s, qi) < 0)
-        return -1;
-    unwind(s, mark);
     s->nlab = nlab;
     s->gens_len = glen;
     s->scan_len = slen;
-    return 0;
+    return rc;
 }
 
 /* Identity, then the forced C_p cycle on element 1, then the search. */

@@ -15,6 +15,11 @@ as a fresh product value. Every isomorphism class is reached this way, once
 per generating sequence; surviving duplicates are removed afterwards by the
 isomorphism-search deduplication pass.
 
+search decides the first undecided cell g*u of the scan queue in one loop,
+one node per candidate: each label not yet in row g or column u, then a
+fresh label while fewer than n exist. Else it emits the leaf or adds a
+generator. Either way it restores nlab, gens and the scan queue once.
+
 Propagation computes the closure of the partial table under four
 associativity rules, one for each role a newly set cell a*b = v can play
 in a triple. Every cell it sets goes on the trail and is processed after
@@ -32,8 +37,9 @@ no cell, so the rest of the trail could only find a violated triple. Each
 triple is checked when the last of its cells is processed, so a violated
 triple still has that cell ahead on the trail, and the rest of the trail
 fails exactly when some triple fails. Every label c other than 0 was
-created as c = g*u for a generator g and an earlier label u (g = g*0 for
-a generator, and k+1 = 1*k in the C_p prefix), so the elements a with
+created as c = g*u for a generator g and an earlier label u (as the fresh
+candidate for a queued cell g*u, g = g*0 for a label added as a
+generator, and k+1 = 1*k in the C_p prefix), so the elements a with
 (x*a)*y = x*(a*y) for all x, y, a set that contains 0 and is closed under
 products, are all of them as soon as they contain the generators: the
 criterion decides associativity exactly.
@@ -42,8 +48,9 @@ When the scan queue is exhausted with all n labels, the table is
 complete, and an unset cell there raises AssertionError naming it.
 Proof: unless the table is full, every set cell has been processed, as
 each propagation that returned True processed its whole trail suffix.
-Each pair of a generator g and a label u is queued, so every generator
-row is full, and create_label fills row 0. Let c = g*u as above, and let
+Each pair of a generator g and a label u is queued, and search passes a
+queued cell only once it is set, so every generator row is full, and
+create_label fills row 0. Let c = g*u as above, and let
 the rows of all labels below c be full. For each k the cells g*u = c,
 u*k = w and g*w are set; whichever of them was processed last set
 c*k = g*w, by propagate's first, second or fourth rule: (a*b)*k =
@@ -240,53 +247,35 @@ def enumerate_group_tables(n: int) -> tuple[list[bytes], int]:
 
     def search(qi: int) -> None:
         nonlocal nlab, nodes
-        while qi < len(scan_u):
-            g = scan_g[qi]
-            u = scan_u[qi]
-            if rows[g * W + u] != U:
-                qi += 1
-                continue
-            labeled = nlab
-            for v in range(labeled):
+        labeled, glen, slen, mark = nlab, len(gens), len(scan_u), len(trail)
+        while qi < slen and rows[scan_g[qi] * W + scan_u[qi]] != U:
+            qi += 1
+        if qi < slen:
+            g, u = scan_g[qi], scan_u[qi]
+            # The fresh label v == labeled is in no row or column yet.
+            for v in range(min(labeled + 1, n)):
                 if left[v * W + g] != U or right[v * W + u] != U:
                     continue
                 nodes += 1
-                mark = len(trail)
+                if v == labeled:
+                    create_label()
                 if set_cell(g, u, v) and propagate(mark):
                     search(qi + 1)
                 unwind(mark)
-            if labeled < n:
-                nodes += 1
-                mark = len(trail)
-                glen, slen = len(gens), len(scan_u)
-                c = create_label()
-                if set_cell(g, u, c) and propagate(mark):
-                    search(qi + 1)
-                unwind(mark)
-                nlab = labeled
-                del gens[glen:]
-                del scan_u[slen:]
-                del scan_g[slen:]
-            return
-        labeled = nlab
-        if labeled == n:
+        elif labeled == n:
             # Complete once the generator rows close (module docstring).
             table = b"".join(row[x][:n] for x in range(n))
             if U in table:
                 a, b = cells[table.index(U)]
                 raise AssertionError(f"cell ({a}, {b}) is unset after the generator rows closed")
             leaves.append(table)
-            return
-        # The labeled set is a complete proper subgroup: its order must
-        # divide n and the next closure at least doubles it.
-        if n % labeled != 0 or labeled * 2 > n:
-            return
-        mark = len(trail)
-        glen, slen = len(gens), len(scan_u)
-        add_generator()
-        if propagate(mark):
-            search(qi)
-        unwind(mark)
+        elif n % labeled == 0 and labeled * 2 <= n:
+            # The labeled set is a complete proper subgroup: its order must
+            # divide n and the next closure at least doubles it.
+            add_generator()
+            if propagate(mark):
+                search(qi)
+            unwind(mark)
         nlab = labeled
         del gens[glen:]
         del scan_u[slen:]

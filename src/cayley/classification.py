@@ -15,12 +15,7 @@ from typing import ClassVar
 
 from ._fillcore import smallest_prime_factor
 from .core import FiniteGroup, cyclic_group
-from .enumeration import (
-    DEFAULT_BUDGET,
-    EnumerationReport,
-    check_order_fits,
-    enumerate_groups,
-)
+from .enumeration import EnumerationReport, check_order_fits, enumerate_groups
 from .errors import (
     BadOrderError,
     GroupError,
@@ -269,7 +264,7 @@ class TheoremReport:
         return asdict(self)
 
 
-def verify_theorem(max_order: int, budget: int | None = None) -> TheoremReport:
+def verify_theorem(max_order: int) -> TheoremReport:
     """Check, for each order of shape p^2 or p*q up to max_order, that the
     enumeration oracle finds exactly the predicted number of isomorphism
     classes and that every representative classifies with a valid witness."""
@@ -278,22 +273,20 @@ def verify_theorem(max_order: int, budget: int | None = None) -> TheoremReport:
             f"max_order {max_order} checks no order; the smallest order of shape "
             f"p^2 or p*q is {SMALLEST_VERIFIED_ORDER}"
         )
-    if budget is None:
-        budget = max(max_order, DEFAULT_BUDGET)
-    # Every order's budget and kernel limit, before the first enumeration.
-    # Each order is checked as the walk reaches it, so the walk stops at the
-    # first order that does not fit and never runs on to max_order.
+    # Every order's kernel limit (the budget max_order admits them all),
+    # before the first enumeration. The walk checks each order as it reaches
+    # it, so it stops at the first that does not fit, short of max_order.
     shapes = []
     for n in range(SMALLEST_VERIFIED_ORDER, max_order + 1):
         shape = order_shape(n)
         if shape.kind != "unsupported":
-            check_order_fits(n, budget)
+            check_order_fits(n, max_order)
             shapes.append(shape)
     rows = []
     for shape in shapes:
         n = shape.order
         predicted = 1 + (1 if noncyclic_exists(shape.p, shape.q) else 0)
-        report: EnumerationReport = enumerate_groups(n, budget=budget)
+        report: EnumerationReport = enumerate_groups(n, budget=max_order)
         kinds = []
         classified_ok = True
         for rep in report.representatives:

@@ -221,7 +221,7 @@ def _cmd_verify(args) -> int:
             f"--max {args.max} checks no order; the smallest order of shape "
             f"p^2 or p*q is {SMALLEST_VERIFIED_ORDER}"
         )
-    report = verify_theorem(args.max, budget=args.budget)
+    report = verify_theorem(args.max)
     if args.json:
         _emit_json(report.to_json_dict())
     else:
@@ -278,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check the classification against the oracle")
     p_verify.add_argument("--max", type=int, required=True)
-    p_verify.add_argument("--budget", type=int, default=None)
     p_verify.add_argument("--json", action="store_true")
 
     return parser

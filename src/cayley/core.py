@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from itertools import islice, permutations
 from typing import Iterable, Iterator, Sequence
 
@@ -172,11 +173,15 @@ class FiniteGroup:
     # Arithmetic.
 
     def _element(self, x: int) -> int:
-        """x itself, or IndexError if it is not an element (numpy would
-        wrap a negative index to another element)."""
-        if not 0 <= x < self.order:
+        """x as an int, or IndexError if it is not an element (numpy would
+        wrap a negative index, and int() would truncate 2.5 or parse "2")."""
+        try:
+            i = operator.index(x)
+        except TypeError:
+            raise IndexError(f"element {x!r} is not an integer") from None
+        if not 0 <= i < self.order:
             raise IndexError(f"element {x} out of range for order {self.order}")
-        return x
+        return i
 
     def mul(self, i: int, j: int) -> int:
         return int(self.table[self._element(i), self._element(j)])

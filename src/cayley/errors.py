@@ -40,9 +40,9 @@ class NotAssociativeError(GroupError):
 
 
 class NoInverseError(GroupError):
-    """An element has no two-sided inverse (unreachable after the other
-    validation checks); also a power walk that does not return to the
-    identity, on a table that was not validated."""
+    """A power walk did not return to the identity within the order. Only
+    FiniteGroup.powers raises it, on the unvalidated tables that
+    enumeration colours; validation never does."""
 
 
 class SizeCapError(GroupError):

@@ -3,6 +3,7 @@ prime-order element/subgroup extraction."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -48,11 +49,8 @@ class Subgroup:
 
 
 def subgroup_from_members(parent: FiniteGroup, members: Iterable[int]) -> Subgroup:
-    """Validate a member set (range, identity, inverses, closure, Lagrange)."""
-    ordered = sorted({int(x) for x in members} | {0})
-    for x in ordered:
-        if not 0 <= x < parent.order:
-            raise NotSubgroupError(f"index {x} out of range")
+    """Validate a member set (indices, identity, inverses, closure)."""
+    ordered = sorted(set(_indices(parent, members)) | {0})
     idx = np.array(ordered, dtype=np.intp)
     inside = _mask(parent.order, idx)
     lacking = ~inside[parent.inverse[idx]]
@@ -62,10 +60,22 @@ def subgroup_from_members(parent: FiniteGroup, members: Iterable[int]) -> Subgro
     if escapes.any():
         i, j = map(int, np.argwhere(escapes)[0])
         raise NotSubgroupError(f"product {ordered[i]}*{ordered[j]} escapes the member set")
-    if parent.order % len(ordered) != 0:
-        # Unreachable for genuinely closed sets; kept as a hard invariant check.
-        raise NotSubgroupError("member count does not divide the group order")
     return Subgroup(parent, tuple(ordered))
+
+
+def _indices(parent: FiniteGroup, xs: Iterable[int]) -> list[int]:
+    """Each x as an index of parent, or NotSubgroupError naming the first
+    that is out of range or not an integer (int() would truncate 2.5)."""
+    out = []
+    for x in xs:
+        try:
+            i = operator.index(x)
+        except TypeError:
+            raise NotSubgroupError(f"index {x!r} is not an integer") from None
+        if not 0 <= i < parent.order:
+            raise NotSubgroupError(f"index {x} out of range")
+        out.append(i)
+    return out
 
 
 def _mask(n: int, members) -> np.ndarray:
@@ -77,11 +87,7 @@ def _mask(n: int, members) -> np.ndarray:
 
 def closure(parent: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the generators."""
-    gens = [int(g) for g in gens]
-    for x in gens:
-        if not 0 <= x < parent.order:
-            raise NotSubgroupError(f"index {x} out of range")
-    return Subgroup(parent, closure_indices(parent.table, gens))
+    return Subgroup(parent, closure_indices(parent.table, _indices(parent, gens)))
 
 
 def bot(parent: FiniteGroup) -> Subgroup:

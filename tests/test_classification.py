@@ -319,8 +319,6 @@ def test_verify_theorem_checks_every_limit_before_any_work(monkeypatch):
     monkeypatch.setattr(enumeration, "HARD_ORDER_LIMIT", 9)
     with pytest.raises(BudgetExceededError, match="^kernel supports orders up to 9$"):
         verify_theorem(10)
-    with pytest.raises(BudgetExceededError, match="^order 9 exceeds the enumeration budget 8"):
-        verify_theorem(10, budget=8)
 
 
 def test_verify_theorem_records_failure_type(monkeypatch):

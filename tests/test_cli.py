@@ -379,9 +379,6 @@ def test_budget_hint_names_the_cli_option(capsys):
     code, out, err = run(capsys, ["enumerate", "17"])
     assert (code, out) == (1, "")
     assert err == "error: BudgetExceeded: order 17 exceeds the enumeration budget 16; pass --budget 17\n"
-    code, _, err = run(capsys, ["verify", "--max", "10", "--budget", "8"])
-    assert code == 1
-    assert err == "error: BudgetExceeded: order 9 exceeds the enumeration budget 8; pass --budget 9\n"
     # The library names its own keyword.
     with pytest.raises(BudgetExceededError, match=r"budget 16; pass budget=17$"):
         enumeration.enumerate_groups(17)
@@ -497,9 +494,8 @@ def _numeric_argv(draw):
         return ["construct", "sdp", value(small, 64, 4096), value(small, 64, 4096),
                 "--k", value(small)]
     if command == "verify":
-        argv = ["verify", "--max", value(st.integers(-3, 20), 64)]
-    else:
-        argv = ["enumerate", value(st.integers(-3, 15), 16, 64)]
+        return ["verify", "--max", value(st.integers(-3, 20), 64)]
+    argv = ["enumerate", value(st.integers(-3, 15), 16, 64)]
     if draw(st.booleans()):
         argv += ["--budget", value(st.integers(-3, 20))]
     return argv
@@ -528,6 +524,14 @@ def _bounded_exit_code(argv: list[str], seconds: float) -> int:
 @given(argv=_numeric_argv())
 def test_cli_numeric_flags_exit_cleanly_and_promptly(argv):
     assert _bounded_exit_code(argv, 2.0) in {0, 1, 2, 3}, argv
+
+
+def test_verify_takes_no_budget(capsys):
+    # verify's budget is its --max, which admits every order it checks.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--max", "10", "--budget", "100"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --budget 100" in capsys.readouterr().err
 
 
 def test_verify_limit_check_does_not_grow_with_max(capsys):

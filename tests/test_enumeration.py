@@ -182,6 +182,47 @@ def test_compiled_kernel_order24_is_pinned(compiled_kernel):
     assert _digest(result) == ORDER24_SHA256
 
 
+# _digest(enumerate_group_tables(n)) on the compiled kernel past the
+# parity range, recorded before search decided each cell in one loop.
+COMPILED_KERNEL_SHA256 = {
+    23: "0f0a9fe2a58be9933794c1147d0330e0c945f1e43a720c04aa032ac0640218f4",
+    25: "6413dd61179dcf7707a1c134c11e8db6ccea6b9269e37b62cc983d290a555982",
+    26: "8ea0b340aff9b7d25c362ebbfd0002a4b57aeb55306236760a1fd422be85ec7d",
+    27: "e6def7b7da34d6b0a63bc1b0429bbbd4c399f3a02871ea17be9ba989c6744f95",
+    28: "b367f3075becc740d9cc5dae3c204f00c25eacc12f6dfd6147086fb2d4c5d729",
+    29: "378b57e3c866a89d722191536937abeb76bbabad7f5a668ea54d89e970056f41",
+    30: "541e222c2ddc064a46368efbf9d6f7881a843decc6a180e0544049eb61578ae0",
+    31: "1065c206ec72ff77a4242d99c9ca41ebd78acd4833e3fe8e751d04e84a5f5f3c",
+    33: "58b9d13002fbf9ee8d571a650a1b7d23f92397828da0c2a573211299f0918312",
+    34: "d2ec8f25b6811ca8a9cca1589789b944f7ab5b4b0410d54c0a261a43235f1619",
+    35: "87317ae6f62d23d3618854b41d99fc8eb14225944d7b52e6d36912fda69441eb",
+    37: "ff4c817c45cafb1d872befd7759af7d6a3b41bba2dc7366cd313dfc01b51418a",
+    38: "a4faba0af61c056714ba87a561c42e85a1d0f85172eca251d8e2a00562a91772",
+    39: "eea94bc918a489083e24c4744dd5ca0561ed7db68ca57f5a38640e566af3bf97",
+}
+
+# The same for the orders that take seconds each, compiled.
+COMPILED_KERNEL_STRESS_SHA256 = {
+    32: "10323acf014922f6b75c83e7ee7f3623a1625d5a828030b1a5005d9c34e3eebc",
+    36: "4f8089a930e8392d73ccee4c35fea56b9363bc412082ba56d9bed76c08f9b5b6",
+    40: "3ca77f9f2ffc39edf3240b1f331452092ffe086cbb9ccdd42961f1f37350f6ed",
+}
+
+
+@pytest.mark.parametrize("n", sorted(COMPILED_KERNEL_SHA256))
+def test_compiled_kernel_output_is_pinned(compiled_kernel, n):
+    assert _digest(compiled_kernel.enumerate_group_tables(n)) == COMPILED_KERNEL_SHA256[n]
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CAYLEY_STRESS"),
+    reason="about 25 s on the compiled kernel; set CAYLEY_STRESS=1 to run",
+)
+@pytest.mark.parametrize("n", sorted(COMPILED_KERNEL_STRESS_SHA256))
+def test_compiled_kernel_stress_output_is_pinned(compiled_kernel, n):
+    assert _digest(compiled_kernel.enumerate_group_tables(n)) == COMPILED_KERNEL_STRESS_SHA256[n]
+
+
 @pytest.mark.skipif(
     not os.environ.get("CAYLEY_STRESS"),
     reason="about 10 s on the pure kernel; set CAYLEY_STRESS=1 to run",

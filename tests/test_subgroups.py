@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from cayley.core import cyclic_group, symmetric_group
@@ -73,6 +74,36 @@ def test_closure_rejects_out_of_range_generators(c6):
         closure(c6, [-1])
     with pytest.raises(NotSubgroupError, match="index 6 out of range"):
         closure(c6, [2, 6])
+
+
+def test_closure_rejects_a_float_generator(c6):
+    # int() would truncate 2.7 to 2 and close to (0, 2, 4).
+    with pytest.raises(NotSubgroupError, match="^index 2.7 is not an integer$"):
+        closure(c6, [2.7])
+
+
+def test_member_list_rejects_a_string(c6):
+    # int() would parse "3" and accept the subgroup (0, 3).
+    with pytest.raises(NotSubgroupError, match="^index '3' is not an integer$"):
+        subgroup_from_members(c6, ["3"])
+
+
+def test_member_list_rejects_a_float(c6):
+    # int() would truncate 2.5 and report the inverse of 2 missing.
+    with pytest.raises(NotSubgroupError, match="^index 2.5 is not an integer$"):
+        subgroup_from_members(c6, [2.5])
+
+
+def test_conjugate_subgroup_rejects_a_float(s3):
+    # Indexing would truncate 2.5 and conjugate by 2.
+    with pytest.raises(IndexError, match="^element 2.5 is not an integer$"):
+        conjugate_subgroup(closure(s3, [1]), 2.5)
+
+
+def test_integer_like_indices_are_still_accepted(c6, s3):
+    assert closure(c6, [np.int64(2), True]).members == (0, 1, 2, 3, 4, 5)
+    assert subgroup_from_members(c6, [np.int32(3), False]).members == (0, 3)
+    assert conjugate_subgroup(closure(s3, [1]), np.int64(2)) == conjugate_subgroup(closure(s3, [1]), 2)
 
 
 def test_lattice_laws():
