@@ -147,10 +147,13 @@ def _cmd_aut(args) -> int:
 
 
 def _parse_indices(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError:
+    """Comma-separated ASCII decimal indices, as in the file format, each
+    with optional surrounding spaces; int() alone would also read signs,
+    underscores and non-ASCII digits."""
+    tokens = [tok.strip() for tok in text.split(",") if tok != ""]
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
         raise _UsageError(f"bad index list {text!r}")
+    return [int(tok) for tok in tokens]
 
 
 def _cmd_recognize(args) -> int:
@@ -181,6 +184,8 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     _check_order(args.n)
+    if args.budget is not None and args.budget < 1:
+        raise _UsageError(f"--budget {args.budget} admits no order; it must be at least 1")
     _check_out(args.out)
     report = enumerate_groups(args.n, budget=args.budget)
     if args.out:

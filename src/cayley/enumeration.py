@@ -9,8 +9,8 @@ identical tables in identical order, each leaf one bytes object of n^2
 labels in row-major order, read here as a uint8 array without a copy.
 
 The kernel may emit isomorphic duplicates. Each leaf is first wrapped
-unvalidated, only to compute its colour key (the sorted element colours,
-see morphisms) and to be searched. A leaf is a duplicate when a
+unvalidated, only to compute its colour key (the sorted element colour
+codes, see morphisms) and to be searched. A leaf is a duplicate when a
 representative with the same key relabels onto it: the generator-image
 search from the representative proposes a map f, and f is accepted only
 once it is a permutation and one gather shows
@@ -116,7 +116,7 @@ def enumerate_groups(n: int, budget: int | None = None) -> EnumerationReport:
     check_order_fits(n, budget)
     tables, nodes = enumerate_tables(n)
     representatives: list[FiniteGroup] = []
-    buckets: dict[tuple, list[FiniteGroup]] = {}
+    buckets: dict[bytes, list[FiniteGroup]] = {}
     rejections = 0
     for flat in tables:
         table = np.frombuffer(flat, np.uint8).reshape(n, n)

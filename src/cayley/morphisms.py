@@ -3,11 +3,14 @@ group-isomorphism decision procedure.
 
 Each element has a four-part colour, all isomorphism invariants: its
 order, its conjugacy class size, the order of its square and its number
-of square roots. The colour key of a group, the sorted tuple of its
-colours, is cached and is the one invariant that the search and the
-enumeration dedup compare: unequal keys reject at once, and equal keys
-never conclude isomorphism. Every other invariant is read off the colours
-or the centraliser counts, in one ordered table, INVARIANTS. The
+of square roots. Every part lies in 0..n for a group of order n, so the
+colour is held as one int64 code, its four parts as digits in base n + 1,
+computed for all elements by one numpy expression and cached. The colour
+key of a group, the bytes of its sorted codes, is cached and is the one
+invariant that the search and the enumeration dedup compare: unequal keys
+reject at once, and equal keys never conclude isomorphism. The search
+uses the codes themselves as colour ids. Every other invariant is read off
+the colours or the centraliser counts, in one ordered table, INVARIANTS. The
 `fingerprint` tuple holds its first five entries, in the tuple's own field
 order, and `fingerprint_mismatch` and `invariant_mismatch` name the first
 entry that differs between two groups. The table ends with the colour
@@ -189,32 +192,43 @@ def identity_iso(g1: FiniteGroup, g2: FiniteGroup | None = None) -> Iso:
 
 
 @_memoized
-def _element_stats(g: FiniteGroup) -> list[tuple[int, int, int, int]]:
-    """Per-element colour (order, conjugacy class size, order of the
-    square, number of square roots), cached: candidate images in the
-    search must match exactly. Each part is an isomorphism invariant; an
-    isomorphism maps the square roots of x one-to-one onto those of f(x)."""
-    orders = np.asarray(g.element_orders())
+def _element_codes(g: FiniteGroup) -> np.ndarray:
+    """Per-element colour as one int64 code (cached, read-only):
+    ((order * B + conjugacy class size) * B + order of the square) * B +
+    number of square roots, with B = n + 1. Candidate images in the search
+    must match exactly. Each part is an isomorphism invariant; an
+    isomorphism maps the square roots of x one-to-one onto those of f(x).
+    Every part lies in 0..n, also on the unvalidated tables that
+    enumeration colours, whose power walks stop within n steps, so the
+    code is injective; B^4 <= 4097^4 fits in int64."""
+    n = g.order
+    base = n + 1
+    orders = np.asarray(g.element_orders(), dtype=np.int64)
     squares = np.diagonal(g.table)
-    return list(
-        zip(
-            orders.tolist(),
-            (g.order // g.centralizer_sizes()).tolist(),
-            orders[squares].tolist(),
-            np.bincount(squares, minlength=g.order).tolist(),
-        )
-    )
+    codes = orders * base + n // g.centralizer_sizes()
+    codes = (codes * base + orders[squares]) * base + np.bincount(squares, minlength=n)
+    codes.setflags(write=False)
+    return codes
+
+
+def _colour_part(g: FiniteGroup, part: int) -> np.ndarray:
+    """One part of every element's colour, decoded from its code: 0 the
+    order, 1 the class size, 2 the order of the square, 3 the root count."""
+    base = g.order + 1
+    return _element_codes(g) // base ** (3 - part) % base
 
 
 @_memoized
-def _colour_key(g: FiniteGroup) -> tuple:
-    """The sorted element colours (cached): equal for isomorphic groups."""
-    return tuple(sorted(_element_stats(g)))
+def _colour_key(g: FiniteGroup) -> bytes:
+    """The sorted element codes as bytes (cached): equal for isomorphic
+    groups, and for groups of one order equal exactly when their sorted
+    colours are."""
+    return np.sort(_element_codes(g)).tobytes()
 
 
 def _multiset(part: int):
     """The sorted values of one colour part over the elements."""
-    return lambda g: tuple(sorted(colour[part] for colour in _element_stats(g)))
+    return lambda g: tuple(np.sort(_colour_part(g, part)).tolist())
 
 
 # Named isomorphism invariants, in the order in which the reason for a
@@ -296,16 +310,14 @@ def _plans(table: np.ndarray, gens: list[int], colours: list[int]) -> list[list[
 
 
 @_memoized
-def _search_state(g: FiniteGroup, gens: tuple[int, ...]) -> tuple[dict, list[list], list[list]]:
-    """The colour ids, the plans and the per-depth fresh elements of a
-    search from g along gens (cached on g per gens): every search from one
-    source shares them."""
-    stats = _element_stats(g)
-    colour = {s: c for c, s in enumerate(set(stats))}
-    plans = _plans(g.table, gens, [colour[s] for s in stats])
+def _search_state(g: FiniteGroup, gens: tuple[int, ...]) -> tuple[list[list], list[list]]:
+    """The plans and the per-depth fresh elements of a search from g along
+    gens (cached on g per gens), with the element codes as colour ids:
+    every search from one source shares them."""
+    plans = _plans(g.table, gens, _element_codes(g).tolist())
     # Per depth, (y, colour) of each element first reached there, in plan order.
     fresh = [[(y, c) for _, _, y, c, _ in plan if c >= 0] for plan in plans]
-    return colour, plans, fresh
+    return plans, fresh
 
 
 @_memoized
@@ -359,25 +371,23 @@ def _image_search(
     every colour of g2 is one of g1's: find_isomorphism compares the keys
     first, and automorphism_group searches from g to g."""
     n = g1.order
-    stats1 = _element_stats(g1)
-    stats2 = _element_stats(g2)
     if n == 1:
         return [(0,)]
-    candidates = [
-        [y for y in range(n) if stats2[y] == stats1[g]] for g in gens
-    ]
+    codes1, codes2 = _element_codes(g1), _element_codes(g2)
+    candidates = [np.flatnonzero(codes2 == codes1[g]).tolist() for g in gens]
     # Central images (class size 1) are their own classes: nothing to skip.
-    if not find_all and stats1[gens[0]][1] > 1:
+    if not find_all and g1.centralizer_sizes()[gens[0]] < n:
         class_ids = _class_ids(g2)
         first: dict[int, int] = {}
         for y in candidates[0]:
             first.setdefault(class_ids[y], y)
         candidates[0] = list(first.values())
-    # Ids of the element colours. free[w] is w's colour until w is used,
-    # then -1, so one comparison checks injectivity and colour.
-    colour, plans, fresh = _search_state(g1, tuple(gens))
+    # free[w] is w's colour code until w is used, then -1 (codes are
+    # positive), so one comparison checks injectivity and colour.
+    plans, fresh = _search_state(g1, tuple(gens))
     m = [0] + [-1] * (n - 1)
-    free = [-1] + [colour[s] for s in stats2[1:]]
+    free = codes2.tolist()
+    free[0] = -1
     columns: list[list[int]] = [[]] * len(gens)
     target_columns: dict[int, list[int]] = {}
     found: list[tuple[int, ...]] = []

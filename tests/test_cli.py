@@ -236,11 +236,25 @@ def test_recognize_index_out_of_range(capsys, tmp_path):
 
 
 def test_recognize_negative_index(capsys, tmp_path):
+    # An index list holds ASCII decimals only, as the file format does, so
+    # a sign makes it malformed.
     path = tmp_path / "c3.cayley"
     write_group(cyclic_group(3), path)
-    code, _, err = run(capsys, ["recognize", str(path), "--n", "0,1,2", "--h", "0,-1"])
-    assert code == 1
-    assert err == "error: NotSubgroup: index -1 out of range\n"
+    code, out, err = run(capsys, ["recognize", str(path), "--n", "0,1,2", "--h", "0,-1"])
+    assert (code, out, err) == (2, "", "error: bad index list '0,-1'\n")
+
+
+@pytest.mark.parametrize("h", ["0,0_3", "0,+3", "0,\u0663", "0,-3", "0,3.0"])
+def test_recognize_index_list_takes_ascii_decimals_only(capsys, c6_file, h):
+    # int() would read "0_3", "+3" and the Arabic-Indic digit three as 3.
+    code, out, err = run(capsys, ["recognize", c6_file, "--n", "0,2,4", "--h", h])
+    assert (code, out, err) == (2, "", f"error: bad index list {h!r}\n")
+
+
+def test_recognize_index_list_allows_surrounding_spaces(capsys, c6_file):
+    expected = run(capsys, ["recognize", c6_file, "--n", "0,2,4", "--h", "0,3"])
+    assert expected[0] == 0
+    assert run(capsys, ["recognize", c6_file, "--n", " 0, 2 ,4", "--h", "0, 3"]) == expected
 
 
 def test_recognize_malformed_index_list_is_a_usage_error(capsys, tmp_path):
@@ -330,6 +344,16 @@ def test_enumerate_below_order_one_is_a_usage_error(capsys, n):
     code, out, err = run(capsys, ["enumerate", n])
     assert (code, out) == (2, "")
     assert err == f"error: order {n} is not a group order; it must be at least 1\n"
+
+
+@pytest.mark.parametrize("n,budget", [("16", "-1"), ("3", "0")])
+def test_enumerate_budget_below_one_is_a_usage_error(capsys, n, budget):
+    code, out, err = run(capsys, ["enumerate", n, "--budget", budget])
+    assert (code, out) == (2, "")
+    assert err == f"error: --budget {budget} admits no order; it must be at least 1\n"
+    # The library keeps its own check and error.
+    with pytest.raises(BudgetExceededError, match=f"budget {budget}; pass budget={n}$"):
+        enumeration.enumerate_groups(int(n), budget=int(budget))
 
 
 @pytest.mark.parametrize(

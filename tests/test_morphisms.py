@@ -467,7 +467,19 @@ def test_element_stats_match_brute_force():
         cyclic_power_semidirect(97, 3, 35).group,
     ]
     for g in groups:
-        assert morphisms._element_stats(g) == _element_stats_oracle(g), g.order
+        decoded = zip(*(morphisms._colour_part(g, part).tolist() for part in range(4)))
+        assert list(decoded) == _element_stats_oracle(g), g.order
+
+
+def test_colour_keys_partition_like_the_oracle():
+    # Two groups get equal colour keys exactly when their sorted brute-force
+    # colours agree. Some order-16 classes differ only in their square-root
+    # counts, so every part of the colour must reach the key.
+    groups = small_group_corpus(10) + _order16_classes_times(1) + _order16_classes_times(3)
+    keys = [morphisms._colour_key(g) for g in groups]
+    oracle = [sorted(_element_stats_oracle(g)) for g in groups]
+    for i, j in itertools.combinations(range(len(groups)), 2):
+        assert (keys[i] == keys[j]) == (oracle[i] == oracle[j]), (i, j)
 
 
 def test_class_ids_match_brute_force():
@@ -523,7 +535,7 @@ def test_size_cap_nonabelian_walks_hold_no_table_copy(q):
     # the target.
     k = next(k for k in range(2, q) if pow(k, 3, q) == 1)
     g = cyclic_power_semidirect(q, 3, k).group
-    assert morphisms._element_stats(g)[morphisms.generating_sequence(g)[0]][1] > 1
+    assert g.order // g.centralizer_sizes()[morphisms.generating_sequence(g)[0]] > 1
     expected = tuple(1 if i == 0 else q if i % 3 == 0 else 3 for i in range(g.order))
     _check_walks_hold_no_table_copy(g, expected)
 
@@ -619,7 +631,7 @@ def test_conjugacy_pruning_is_live(monkeypatch):
     # pair; one candidate per conjugacy class of the target (gens[0] has
     # class size 3) takes 990.
     a, b = _colour_colliding_pair()
-    assert morphisms._element_stats(a)[morphisms.generating_sequence(a)[0]][1] == 3
+    assert a.order // a.centralizer_sizes()[morphisms.generating_sequence(a)[0]] == 3
     monkeypatch.setattr(morphisms, "SEARCH_NODE_LIMIT", 1000)
     assert find_isomorphism(a, b) is None
     assert find_isomorphism(b, a) is None
@@ -637,7 +649,7 @@ def test_searches_leave_no_reference_cycles():
         lambda: find_isomorphism(a, h),
     ]
     for call in calls:
-        call()  # caches the colour keys and element stats first
+        call()  # caches the colour keys and element codes first
         gc.collect()
         gc.disable()
         try:
