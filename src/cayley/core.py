@@ -17,11 +17,12 @@ other nested input goes through np.asarray, with the errors it gets there.
 
 Subgroup closure is a breadth-first search from the identity under right
 multiplication by the generators, reading only the generator columns of
-the table; the search grows as generators are adjoined. `greedy_generators`,
-the one generating-sequence routine, adjoins each candidate outside that
-closure. Associativity is checked at every order on its generators of
-range(n) only (Light's criterion), in row blocks of bounded size; the
-group keeps them, and morphisms checks multiplicativity on them.
+the table; the search grows as generators are adjoined. `greedy_generators`
+adjoins each candidate outside that closure; morphisms makes the same walk
+once per search source, recording its search plans as it goes.
+Associativity is checked at every order on its generators of range(n) only
+(Light's criterion), in row blocks of bounded size; the group keeps them,
+and morphisms checks multiplicativity on them.
 """
 
 from __future__ import annotations
@@ -368,14 +369,24 @@ def _entries(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
         raise NotClosedError("table rows are not all sequences of one length") from exc
 
 
+def _size(value, what: str) -> int:
+    """An order or degree as an int, read through operator.index like an
+    element index; SizeCapError naming the value if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise SizeCapError(f"{what} {value!r} is not an integer") from None
+
+
 def from_table(order: int, table: Sequence[Sequence[int]] | np.ndarray) -> FiniteGroup:
     """Validate an index table and wrap it as a FiniteGroup (on a copy).
 
-    `table` is a numpy array or nested rows. A list or tuple of
-    equal-length list or tuple rows of ints in 0..255, the first not a
-    bool, is read through bytearray, not numpy's dtype discovery; any other
-    input through np.asarray, with the same errors. Ragged rows raise
-    NotClosedError."""
+    `order` is read through operator.index. `table` is a numpy array or
+    nested rows. A list or tuple of equal-length list or tuple rows of ints
+    in 0..255, the first not a bool, is read through bytearray, not numpy's
+    dtype discovery; any other input through np.asarray, with the same
+    errors. Ragged rows raise NotClosedError."""
+    order = _size(order, "order")
     arr = _entries(table)
     if arr.ndim != 2:
         raise NotClosedError(f"table must be two-dimensional, got shape {arr.shape}")
@@ -395,6 +406,7 @@ def from_table(order: int, table: Sequence[Sequence[int]] | np.ndarray) -> Finit
 
 def cyclic_group(n: int) -> FiniteGroup:
     """The cyclic group of order n; element i is the generator to the power i."""
+    n = _size(n, "cyclic group order")
     if n < 1:
         raise SizeCapError("cyclic group order must be at least 1")
     if n > MAX_ORDER:
@@ -408,6 +420,7 @@ def cyclic_group(n: int) -> FiniteGroup:
 def symmetric_group(k: int) -> FiniteGroup:
     """The symmetric group on {0..k-1}; elements are permutations in
     lexicographic one-line order (the identity permutation is index 0)."""
+    k = _size(k, "symmetric group degree")
     if k < 1:
         raise SizeCapError("symmetric group degree must be at least 1")
     n = math.factorial(k)

@@ -31,7 +31,7 @@ import numpy as np
 from . import _fillcore
 from .core import FiniteGroup, from_table
 from .errors import BudgetExceededError, NoInverseError
-from .morphisms import _colour_key, _image_search, generating_sequence
+from .morphisms import _colour_key, _image_search
 
 DEFAULT_BUDGET = 16
 HARD_ORDER_LIMIT = _fillcore.MAX_KERNEL_ORDER
@@ -96,7 +96,7 @@ def _is_relabelling(rep: FiniteGroup, leaf: FiniteGroup) -> bool:
     f that the search from rep's generating sequence finds is accepted
     only if it is a permutation and leaf[f[x], f[y]] == f[rep[x, y]] for
     all n^2 pairs, one gather. The leaf needs an equal colour key."""
-    maps = _image_search(rep, leaf, generating_sequence(rep), find_all=False)
+    maps = _image_search(rep, leaf, find_all=False)
     if not maps:
         return False
     f = np.asarray(maps[0])

@@ -46,7 +46,8 @@ class NoInverseError(GroupError):
 
 
 class SizeCapError(GroupError):
-    """Requested order exceeds the global dense-table cap."""
+    """Requested order or degree is not an integer, or gives an order
+    outside 1..MAX_ORDER, the global dense-table cap."""
 
 
 # Subgroups.

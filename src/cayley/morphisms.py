@@ -20,8 +20,8 @@ Isomorphisms are found by generator-image backtracking: a greedy
 irredundant generating sequence of the source (highest element order
 first, each generator outside the subgroup of the earlier ones) is mapped
 onto candidates of the same colour in the target. Each depth d of the
-search has a plan, built from the source table once per source and
-generating sequence and cached on the source: the products
+search has a plan, recorded in the walk that picks the sequence, one
+breadth-first walk from 0 per source cached on the source: the products
 x * gens[j] that <gens[:d+1]> adds to <gens[:d]>. A node extends
 its parent's partial map along its plan only, so each product is checked
 once per branch, and every newly mapped element must be unused and match
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _BLOCK_ENTRIES, FiniteGroup, _memoized, from_table, greedy_generators
+from .core import _BLOCK_ENTRIES, FiniteGroup, _memoized, from_table
 from .errors import (
     BudgetExceededError,
     IdentityNotPreservedError,
@@ -98,12 +98,17 @@ class Hom:
 
 def make_hom(source: FiniteGroup, target: FiniteGroup, mapping) -> Hom:
     """Validate a candidate map as a homomorphism: multiplicativity is
-    checked exactly on the generators kept from the source's validation."""
-    m = np.asarray(mapping, dtype=np.int32)
+    checked exactly on the generators kept from the source's validation.
+    Entries must be integers (numpy ints and bools included), as element
+    indices are: a float or a str is not truncated or parsed."""
+    m = np.asarray(mapping)
     if m.shape != (source.order,):
         raise ValueError(f"map length {m.shape} does not match source order {source.order}")
+    if m.dtype.kind not in "biu":
+        raise ValueError(f"map entries must be integers, got {m.dtype}")
     if m.min(initial=0) < 0 or m.max(initial=0) >= target.order:
         raise ValueError("map has out-of-range values")
+    m = m.astype(np.int32, copy=False)
     if m[0] != 0:
         raise IdentityNotPreservedError("identity is not sent to identity")
     _check_multiplicative(source.table, list(source.generators), target.table, m[None, :])
@@ -276,27 +281,35 @@ def invariant_mismatch(g1: FiniteGroup, g2: FiniteGroup) -> str | None:
 def generating_sequence(g: FiniteGroup) -> list[int]:
     """Greedy irredundant (not necessarily shortest) generating sequence
     over the elements by descending element order, then by index (cached)."""
-    return list(_generating_sequence(g))
+    return list(_search_state(g)[0])
 
 
 @_memoized
-def _generating_sequence(g: FiniteGroup) -> tuple[int, ...]:
-    by_order = np.argsort(-np.asarray(g.element_orders()), kind="stable")
-    return tuple(greedy_generators(g.table, by_order.tolist()))
+def _search_state(g: FiniteGroup) -> tuple[tuple[int, ...], list[list], list[list]]:
+    """The generating sequence, plans and per-depth fresh elements of every
+    search from g (cached on g), from one breadth-first walk from 0.
 
-
-def _plans(table: np.ndarray, gens: list[int], colours: list[int]) -> list[list[tuple]]:
-    """Per depth d, the products (x, j, y = x * gens[j], c, k) that extend
-    a map on <gens[:d]> to <gens[:d+1]>, in BFS order from 0: every x of
-    <gens[:d]> times gens[d], then every newly reached element times each
-    of gens[:d+1]. c is colours[y] the first time y is reached, else -1,
-    and k counts the elements first reached at depth d before this product.
-    Over all depths each product of an element by a generator appears once."""
-    columns = table[:, gens].T.tolist()
-    reached = [True] + [False] * (table.shape[0] - 1)
+    The candidates are taken by descending element order, then by index,
+    and each one the walk has not reached becomes gens[d]. Plan d holds
+    the products (x, j, y = x * gens[j], c, k) that extend a map on
+    <gens[:d]> to <gens[:d+1]>, in the order of core._Closure.adjoin: every
+    x of <gens[:d]> times gens[d], then every newly reached element times
+    each of gens[:d+1]. c is y's element code the first time y is reached,
+    else -1, and k counts the elements first reached at depth d before this
+    product. Over all depths each product of an element by a generator
+    appears once."""
+    colours = _element_codes(g).tolist()
+    reached = [True] + [False] * (g.order - 1)
     members = [0]
+    gens: list[int] = []
+    columns: list[list[int]] = []
     plans = []
-    for d in range(len(gens)):
+    for candidate in np.argsort(-np.asarray(g.element_orders()), kind="stable").tolist():
+        if reached[candidate]:
+            continue
+        d = len(gens)
+        gens.append(candidate)
+        columns.append(g.table[:, candidate].tolist())
         plan, old = [], len(members)
         for pos, x in enumerate(members):
             for j in (d,) if pos < old else range(d + 1):
@@ -306,18 +319,9 @@ def _plans(table: np.ndarray, gens: list[int], colours: list[int]) -> list[list[
                     reached[y] = True
                     members.append(y)
         plans.append(plan)
-    return plans
-
-
-@_memoized
-def _search_state(g: FiniteGroup, gens: tuple[int, ...]) -> tuple[list[list], list[list]]:
-    """The plans and the per-depth fresh elements of a search from g along
-    gens (cached on g per gens), with the element codes as colour ids:
-    every search from one source shares them."""
-    plans = _plans(g.table, gens, _element_codes(g).tolist())
     # Per depth, (y, colour) of each element first reached there, in plan order.
     fresh = [[(y, c) for _, _, y, c, _ in plan if c >= 0] for plan in plans]
-    return plans, fresh
+    return tuple(gens), plans, fresh
 
 
 @_memoized
@@ -333,15 +337,11 @@ def _class_ids(g: FiniteGroup) -> list[int]:
     return ids.tolist()
 
 
-def _image_search(
-    g1: FiniteGroup,
-    g2: FiniteGroup,
-    gens: list[int],
-    *,
-    find_all: bool,
-) -> list[tuple[int, ...]]:
+def _image_search(g1: FiniteGroup, g2: FiniteGroup, *, find_all: bool) -> list[tuple[int, ...]]:
     """All (or the first) images of the generating sequence gens of g1 that
-    extend to isomorphisms; all of them at most AUT_CARRIER_LIMIT.
+    extend to isomorphisms; all of them at most AUT_CARRIER_LIMIT. gens,
+    the plans and the fresh elements come from _search_state(g1), in the
+    walk that picks the sequence.
 
     A node at depth d extends the map on <gens[:d]> fixed by the images
     tried above it to <gens[:d+1]>, walking only the products of plan d: a
@@ -373,6 +373,7 @@ def _image_search(
     n = g1.order
     if n == 1:
         return [(0,)]
+    gens, plans, fresh = _search_state(g1)
     codes1, codes2 = _element_codes(g1), _element_codes(g2)
     candidates = [np.flatnonzero(codes2 == codes1[g]).tolist() for g in gens]
     # Central images (class size 1) are their own classes: nothing to skip.
@@ -384,7 +385,6 @@ def _image_search(
         candidates[0] = list(first.values())
     # free[w] is w's colour code until w is used, then -1 (codes are
     # positive), so one comparison checks injectivity and colour.
-    plans, fresh = _search_state(g1, tuple(gens))
     m = [0] + [-1] * (n - 1)
     free = codes2.tolist()
     free[0] = -1
@@ -451,7 +451,7 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> Iso | None:
         return identity_iso(g1, g2)
     if _colour_key(g1) != _colour_key(g2):
         return None
-    maps = _image_search(g1, g2, generating_sequence(g1), find_all=False)
+    maps = _image_search(g1, g2, find_all=False)
     if not maps:
         return None
     return iso_from_forward(make_hom(g1, g2, maps[0]))
@@ -498,7 +498,7 @@ def automorphism_group(g: FiniteGroup) -> AutGroup:
     composite's key is gathered in one step, and keys are looked up by
     binary search among the sorted keys of the automorphisms."""
     gens = generating_sequence(g)
-    maps = _image_search(g, g, gens, find_all=True)
+    maps = _image_search(g, g, find_all=True)
     ident = tuple(range(g.order))
     perms = tuple([ident] + sorted(m for m in maps if m != ident))
     # The trivial group has no generators; its one automorphism is keyed by 0.

@@ -35,9 +35,9 @@ def image_searches(monkeypatch):
     calls = []
     search = morphisms._image_search
 
-    def counted(g1, g2, gens, *, find_all):
+    def counted(g1, g2, *, find_all):
         calls.append(find_all)
-        return search(g1, g2, gens, find_all=find_all)
+        return search(g1, g2, find_all=find_all)
 
     monkeypatch.setattr(morphisms, "_image_search", counted)
     return calls

@@ -7,6 +7,7 @@ operation against itself.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -136,6 +137,25 @@ def naive_greedy_by_index(group: FiniteGroup) -> list[int]:
         gens.append(min(set(range(group.order)) - closed))
         closed = set(naive_closure(group, gens))
     return gens
+
+
+def naive_bfs_layers(group: FiniteGroup, gens: list[int]) -> list[set[int]]:
+    """Per depth d, the elements that a breadth-first search from 0 along
+    gens[:d+1] reaches and one along gens[:d] does not: a fresh queue and
+    set per depth, stepping by group.mul."""
+    layers, before = [], {0}
+    for d in range(len(gens)):
+        seen, queue = {0}, deque([0])
+        while queue:
+            x = queue.popleft()
+            for g in gens[: d + 1]:
+                y = group.mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        layers.append(seen - before)
+        before = seen
+    return layers
 
 
 def naive_composition_table(perms: tuple[tuple[int, ...], ...]) -> list[list[int]]:

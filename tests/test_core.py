@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cayley import core
+from cayley import core, morphisms
 from cayley.core import (
     MAX_ORDER,
     closure_indices,
@@ -26,6 +26,7 @@ from cayley.products import cyclic_power_semidirect, direct_product
 from cayley.subgroups import closure, conjugate_subgroup
 
 from oracles import (
+    naive_bfs_layers,
     naive_closure,
     naive_element_order,
     naive_greedy_by_index,
@@ -434,6 +435,39 @@ def test_cyclic_rejects_zero():
         cyclic_group(0)
 
 
+def test_orders_and_degrees_are_read_as_their_index():
+    c2_rows = [[0, 1], [1, 0]]
+    for order in (np.int64(2), np.uint8(2)):
+        g = from_table(order, c2_rows)
+        assert type(g.order) is int and g == cyclic_group(2)
+    g = cyclic_group(np.int64(3))
+    assert type(g.order) is int and g.element_order(1) == 3
+    trivial = cyclic_group(True)
+    assert type(trivial.order) is int and trivial.order == 1
+    assert symmetric_group(np.int8(3)).order == 6
+
+
+@pytest.mark.parametrize(
+    "build, value, what",
+    [
+        ("from_table", 2.0, "order"),
+        ("from_table", "2", "order"),
+        ("cyclic_group", "3", "cyclic group order"),
+        ("cyclic_group", 3.0, "cyclic group order"),
+        ("symmetric_group", 3.0, "symmetric group degree"),
+        ("symmetric_group", None, "symmetric group degree"),
+    ],
+)
+def test_orders_and_degrees_that_are_not_integers_are_named(build, value, what):
+    builders = {
+        "from_table": lambda v: from_table(v, [[0, 1], [1, 0]]),
+        "cyclic_group": cyclic_group,
+        "symmetric_group": symmetric_group,
+    }
+    with pytest.raises(SizeCapError, match=f"^{what} {value!r} is not an integer$"):
+        builders[build](value)
+
+
 def test_symmetric_group_s3(s3):
     assert s3.order == 6
     assert not s3.is_abelian()
@@ -542,6 +576,38 @@ def test_greedy_generators_match_the_naive_rules():
             assert closure_indices(g.table, gens) == tuple(range(g.order))
             for i, x in enumerate(gens):
                 assert x not in closure_indices(g.table, gens[:i])
+
+
+def test_search_plans_match_a_naive_breadth_first_walk():
+    # Each plan product (x, j, y, c, k) multiplies a reached x by gens[j];
+    # c is y's element code at its first reach, else -1, and k counts the
+    # elements first reached at that depth before the product.
+    for g in _greedy_corpus():
+        gens, plans, fresh = morphisms._search_state(g)
+        assert list(gens) == generating_sequence(g) and len(plans) == len(gens)
+        codes = morphisms._element_codes(g).tolist()
+        products: dict[tuple[int, int], int] = {}
+        reached = {0}
+        for d, (plan, layer) in enumerate(zip(plans, naive_bfs_layers(g, list(gens)))):
+            first = []
+            for x, j, y, c, k in plan:
+                assert x in reached and j <= d and (x, j) not in products, (g, d)
+                products[x, j] = y
+                assert k == len(first), (g, d)
+                if y in reached:
+                    assert c == -1, (g, d)
+                else:
+                    assert c == codes[y], (g, d)
+                    first.append(y)
+                    reached.add(y)
+            assert set(first) == layer, (g, d)
+            assert fresh[d] == [(y, codes[y]) for y in first], (g, d)
+        # Every product of an element by a generator appears once.
+        assert products == {
+            (x, j): g.mul(x, s) for x in range(g.order) for j, s in enumerate(gens)
+        }, g
+        # The fresh lists partition 1..n-1.
+        assert sorted(y for layer in fresh for y, _ in layer) == list(range(1, g.order)), g
 
 
 def test_powers_walk_the_cyclic_subgroup():

@@ -96,6 +96,20 @@ def test_make_hom_rejects_with_witness():
         make_hom(c2, c2, [1, 0])
 
 
+def test_make_hom_rejects_entries_that_are_not_integers():
+    c2 = cyclic_group(2)
+    for mapping in ([0, 1.7], [0, 1.0], [0, "1"], [0, None]):
+        with pytest.raises(ValueError, match="^map entries must be integers"):
+            make_hom(c2, c2, mapping)
+    for mapping in ([0, 2**40 + 1], np.array([0, 2**63], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="^map has out-of-range values$"):
+            make_hom(c2, c2, mapping)
+    # numpy ints and bools are integers, as element indices are.
+    for mapping in ([0, np.int64(1)], [False, True], np.array([0, 1], dtype=np.uint8)):
+        assert make_hom(c2, c2, mapping).map == (0, 1)
+        assert all(type(v) is int for v in make_hom(c2, c2, mapping).map)
+
+
 def test_make_hom_accepts_exactly_the_homomorphisms(s3, klein):
     # make_hom checks f(x * g) = f(x) * f(g) on the source's generators only;
     # over every identity-preserving map it must agree with the n^2 oracle.
