@@ -18,11 +18,11 @@ other nested input goes through np.asarray, with the errors it gets there.
 Subgroup closure is a breadth-first search from the identity under right
 multiplication by the generators, reading only the generator columns of
 the table; the search grows as generators are adjoined. `greedy_generators`
-adjoins each candidate outside that closure; morphisms makes the same walk
-once per search source, recording its search plans as it goes.
-Associativity is checked at every order on its generators of range(n) only
-(Light's criterion), in row blocks of bounded size; the group keeps them,
-and morphisms checks multiplicativity on them.
+adjoins each candidate outside that closure. Validation keeps the greedy
+generators of the elements by descending order, then by index, as the
+group's one generating sequence. Every check exact on generators reads it:
+associativity (Light's criterion, in row blocks of bounded size),
+multiplicativity of a map and normality; the isomorphism search maps it.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def _associativity_witness(table: np.ndarray, gens: list[int]) -> tuple[int, int
 
     Light's criterion: the elements a with (xa)y = x(ay) for all x, y
     include 0 and are closed under products, and every element is a
-    left-nested word in gens, the greedy generators of range(n). So
+    left-nested word in gens, greedy generators of every element. So
     checking g over gens decides associativity exactly, in
     O(n^2 * generators), and g is always one of them. Rows x are compared
     a block at a time, so the temporaries stay O(_BLOCK_ENTRIES)."""
@@ -155,15 +155,15 @@ def _memoized(compute):
 class FiniteGroup:
     """A finite group on elements 0..order-1, identity at 0, immutable.
     `table` is its one representation (walks read single entries or the
-    columns they need); `generators` are the greedy generators of range(order)
-    found by validation; derived values are cached in `_memo` by
+    columns they need); `generators` is its one generating sequence,
+    chosen by validation; derived values are cached in `_memo` by
     `_memoized`."""
 
     __slots__ = ("order", "table", "inverse", "generators", "_hash", "_memo")
 
     def __init__(self, order: int, table: np.ndarray, inverse: np.ndarray, generators: tuple):
-        # Internal constructor: callers go through from_table(). Only
-        # enumeration wraps tables unvalidated, and never hands them out.
+        # Internal constructor: callers go through from_table(), which wraps a
+        # table to validate it; no unvalidated group is handed out.
         self.order = order
         self.table = table
         self.inverse = inverse
@@ -198,8 +198,8 @@ class FiniteGroup:
         """[x^0, x^1, ..., x^(m-1)], where m is the order of x.
 
         NoInverseError if the walk has not returned to 0 after `order`
-        steps, which no group table allows; it bounds the walk on the
-        unvalidated tables that enumeration colours."""
+        steps, which no Latin table allows; it bounds the walk on tables
+        not yet known to be groups."""
         self._element(x)
         out = [0]
         y = x
@@ -277,7 +277,7 @@ class FiniteGroup:
 
     def validate(self) -> None:
         """Re-run the full construction-time validation pass."""
-        _validate(self.order, self.table, int(self.table.min()), int(self.table.max()))
+        _validate(self, int(self.table.min()), int(self.table.max()))
 
     # Value semantics.
 
@@ -295,17 +295,19 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _validate(n: int, table: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Check the group axioms on an n x n index table whose entries span
-    lo..hi; return the inverse array and the greedy generators of range(n).
+def _validate(g: FiniteGroup, lo: int, hi: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Check the group axioms on g's table, whose entries span lo..hi;
+    return the inverse array and the greedy generators of the elements by
+    descending order, then by index.
 
-    A table is accepted after the identity, Light's criterion and
-    two-sided inverses, in a bounded number of O(n^2) passes: an
-    associative table with a two-sided identity and inverses is a group,
-    hence Latin. Once any check fails, the table is not a group and the
-    Latin checks run, so every table raises the error of the first failing
-    axiom in the order range, identity, Latin rows, Latin columns,
-    associativity."""
+    A table is accepted after the identity, Light's criterion on those
+    generators and two-sided inverses, in a bounded number of O(n^2)
+    passes: an associative table with a two-sided identity and inverses is
+    a group, hence Latin. Once any check fails, the table is not a group
+    and the Latin checks run, so every table raises the error of the first
+    failing axiom in the order range, identity, Latin rows, Latin columns,
+    associativity, named over the greedy generators of range(n)."""
+    n, table = g.order, g.table
     if n < 1:
         raise SizeCapError("order must be at least 1")
     if n > MAX_ORDER:
@@ -318,15 +320,21 @@ def _validate(n: int, table: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, 
     idx = np.arange(n)
     if not (np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)):
         raise NoIdentityError("index 0 is not a two-sided identity")
-    # A group has at most log2(n) greedy generators, since each one at least
-    # doubles the subgroup of those before it; a table with more is no group,
-    # and neither the closure nor Light's criterion runs past that bound.
-    limit = n.bit_length()
-    gens = list(islice(_adjoined(table, range(n)), limit))
-    triple = None
-    if len(gens) < limit:
-        triple = _associativity_witness(table, gens)
-        if triple is None:
+    # A power walk that does not return (NoInverseError) shows a table that
+    # is not Latin: right multiplication by x permutes a Latin one.
+    try:
+        orders = g.element_orders()
+    except NoInverseError:
+        pass
+    else:
+        # A group has at most log2(n) greedy generators, since each one at
+        # least doubles the subgroup of those before it; a table with more is
+        # no group, and neither the closure nor Light's criterion runs past
+        # that bound.
+        limit = n.bit_length()
+        candidates = sorted(range(n), key=orders.__getitem__, reverse=True)
+        gens = list(islice(_adjoined(table, candidates), limit))
+        if len(gens) < limit and _associativity_witness(table, gens) is None:
             inverse = table.argmin(axis=1)  # the first 0 in each row that has one
             if not (table[idx, inverse].any() or table[inverse, idx].any()):
                 return inverse.astype(table.dtype), tuple(gens)
@@ -339,9 +347,7 @@ def _validate(n: int, table: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, 
     # A Latin table with an identity is a group once it is associative, so
     # here it is not, and Light's criterion over all its greedy generators
     # names the witness.
-    if triple is None:
-        triple = _associativity_witness(table, greedy_generators(table, range(n)))
-    raise NotAssociativeError(triple)
+    raise NotAssociativeError(_associativity_witness(table, greedy_generators(table, range(n))))
 
 
 def _entries(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
@@ -369,6 +375,12 @@ def _entries(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
         raise NotClosedError("table rows are not all sequences of one length") from exc
 
 
+def _integer_objects(arr: np.ndarray) -> bool:
+    """Whether arr is an object array of ints and numpy ints only, as numpy
+    makes of ints beyond 64 bits."""
+    return arr.dtype.kind == "O" and all(isinstance(v, (int, np.integer)) for v in arr.flat)
+
+
 def _size(value, what: str) -> int:
     """An order or degree as an int, read through operator.index like an
     element index; SizeCapError naming the value if it is not an integer."""
@@ -390,18 +402,19 @@ def from_table(order: int, table: Sequence[Sequence[int]] | np.ndarray) -> Finit
     arr = _entries(table)
     if arr.ndim != 2:
         raise NotClosedError(f"table must be two-dimensional, got shape {arr.shape}")
-    if arr.dtype.kind not in "iu":
+    if arr.dtype.kind not in "iu" and not _integer_objects(arr):
         raise NotClosedError(f"table entries must be integers, got {arr.dtype}")
     lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
     # No entry may reach MAX_ORDER; checked before the int32 cast would wrap one.
     if lo < 0 or hi >= MAX_ORDER:
         r, c = np.argwhere((arr < 0) | (arr >= MAX_ORDER))[0]
         raise NotClosedError(f"entry at row {r}, column {c} out of range")
-    arr = arr.astype(np.int32)
-    inverse, gens = _validate(order, arr, lo, hi)
-    arr.setflags(write=False)
-    inverse.setflags(write=False)
-    return FiniteGroup(order, arr, inverse, gens)
+    g = FiniteGroup(order, arr.astype(np.int32), None, ())
+    g.inverse, g.generators = _validate(g, lo, hi)
+    # Read-only only now: numpy's argmin copies a read-only table.
+    g.table.setflags(write=False)
+    g.inverse.setflags(write=False)
+    return g
 
 
 def cyclic_group(n: int) -> FiniteGroup:

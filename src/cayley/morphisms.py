@@ -16,12 +16,12 @@ order, and `fingerprint_mismatch` and `invariant_mismatch` name the first
 entry that differs between two groups. The table ends with the colour
 key, so `invariant_mismatch` is None exactly when the keys agree.
 
-Isomorphisms are found by generator-image backtracking: a greedy
-irredundant generating sequence of the source (highest element order
-first, each generator outside the subgroup of the earlier ones) is mapped
-onto candidates of the same colour in the target. Each depth d of the
-search has a plan, recorded in the walk that picks the sequence, one
-breadth-first walk from 0 per source cached on the source: the products
+Isomorphisms are found by generator-image backtracking: the source's one
+generating sequence, FiniteGroup.generators (chosen by validation, highest
+element order first, each generator outside the subgroup of the earlier
+ones), is mapped onto candidates of the same colour in the target. Each
+depth d of the search has a plan, recorded in one breadth-first walk from
+0 over the generators, cached on the source: the products
 x * gens[j] that <gens[:d+1]> adds to <gens[:d]>. A node extends
 its parent's partial map along its plan only, so each product is checked
 once per branch, and every newly mapped element must be unused and match
@@ -36,14 +36,14 @@ for all automorphisms tries every image.
 
 The automorphism group is materialised as a carrier FiniteGroup whose
 element i is the permutation tuple perms[i]. Each automorphism is encoded
-by its images of the generating sequence; the carrier table composes all
-pairs with one gather over those images and finds each composite by
-binary search among the sorted encodings. One check of multiplicativity
-serves make_hom (one map, on the generators kept from the source's
-validation) and the carrier (blocks of permutations): f(x * g) = f(x) * f(g)
-for all x and each generator g makes f a homomorphism, since every element
-is a word in the generators; a non-injective map has no inverse in the
-family, so the carrier table fails the Latin check of from_table.
+by its images of the generators; the carrier table composes all pairs
+with one gather over those images and finds each composite by binary
+search among the sorted encodings. One check of multiplicativity, on the
+source's generators, serves make_hom (one map) and the carrier (blocks of
+permutations): f(x * g) = f(x) * f(g) for all x and each generator g makes
+f a homomorphism, since every element is a word in the generators; a
+non-injective map has no inverse in the family, so the carrier table
+fails the Latin check of from_table.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _BLOCK_ENTRIES, FiniteGroup, _memoized, from_table
+from .core import _BLOCK_ENTRIES, FiniteGroup, _integer_objects, _memoized, from_table
 from .errors import (
     BudgetExceededError,
     IdentityNotPreservedError,
@@ -98,29 +98,31 @@ class Hom:
 
 def make_hom(source: FiniteGroup, target: FiniteGroup, mapping) -> Hom:
     """Validate a candidate map as a homomorphism: multiplicativity is
-    checked exactly on the generators kept from the source's validation.
-    Entries must be integers (numpy ints and bools included), as element
-    indices are: a float or a str is not truncated or parsed."""
+    checked exactly on the source's generators. Entries must be integers
+    (numpy ints and bools included), as element indices are: a float or a
+    str is not truncated or parsed, and an int beyond 64 bits is out of
+    range."""
     m = np.asarray(mapping)
     if m.shape != (source.order,):
         raise ValueError(f"map length {m.shape} does not match source order {source.order}")
-    if m.dtype.kind not in "biu":
+    if m.dtype.kind not in "biu" and not _integer_objects(m):
         raise ValueError(f"map entries must be integers, got {m.dtype}")
     if m.min(initial=0) < 0 or m.max(initial=0) >= target.order:
         raise ValueError("map has out-of-range values")
     m = m.astype(np.int32, copy=False)
     if m[0] != 0:
         raise IdentityNotPreservedError("identity is not sent to identity")
-    _check_multiplicative(source.table, list(source.generators), target.table, m[None, :])
+    _check_multiplicative(source, target.table, m[None, :])
     return Hom(source, target, tuple(m.tolist()))
 
 
-def _check_multiplicative(table: np.ndarray, gens: list[int], target: np.ndarray, maps) -> None:
+def _check_multiplicative(source: FiniteGroup, target: np.ndarray, maps) -> None:
     """NotMultiplicativeError((x, g)) unless f(x * g) = f(x) * f(g) for each
-    row f of the (k, n) block maps, all x and each g in gens (source table
-    `table`, target table `target`). Exact for maps with f(0) = 0 when gens
-    generate the source: every element is a word in gens."""
-    bad = maps[:, table[:, gens]] != target[maps[:, :, None], maps[:, gens][:, None, :]]
+    row f of the (k, n) block maps, all x and each g of source.generators
+    (target table `target`). Exact for maps with f(0) = 0: every element is
+    a word in the generators."""
+    gens = list(source.generators)
+    bad = maps[:, source.table[:, gens]] != target[maps[:, :, None], maps[:, gens][:, None, :]]
     if bad.any():
         _, x, j = map(int, np.argwhere(bad)[0])
         raise NotMultiplicativeError((x, gens[j]))
@@ -279,19 +281,17 @@ def invariant_mismatch(g1: FiniteGroup, g2: FiniteGroup) -> str | None:
 
 
 def generating_sequence(g: FiniteGroup) -> list[int]:
-    """Greedy irredundant (not necessarily shortest) generating sequence
-    over the elements by descending element order, then by index (cached)."""
-    return list(_search_state(g)[0])
+    """g.generators: the greedy irredundant (not necessarily shortest)
+    generating sequence over the elements by descending order, then index."""
+    return list(g.generators)
 
 
 @_memoized
-def _search_state(g: FiniteGroup) -> tuple[tuple[int, ...], list[list], list[list]]:
-    """The generating sequence, plans and per-depth fresh elements of every
-    search from g (cached on g), from one breadth-first walk from 0.
-
-    The candidates are taken by descending element order, then by index,
-    and each one the walk has not reached becomes gens[d]. Plan d holds
-    the products (x, j, y = x * gens[j], c, k) that extend a map on
+def _search_state(g: FiniteGroup) -> tuple[list[list], list[list]]:
+    """The plans and per-depth fresh elements of every search from g
+    (cached on g), from one breadth-first walk from 0 over gens =
+    g.generators, each outside the subgroup of those before it. Plan d
+    holds the products (x, j, y = x * gens[j], c, k) that extend a map on
     <gens[:d]> to <gens[:d+1]>, in the order of core._Closure.adjoin: every
     x of <gens[:d]> times gens[d], then every newly reached element times
     each of gens[:d+1]. c is y's element code the first time y is reached,
@@ -301,15 +301,10 @@ def _search_state(g: FiniteGroup) -> tuple[tuple[int, ...], list[list], list[lis
     colours = _element_codes(g).tolist()
     reached = [True] + [False] * (g.order - 1)
     members = [0]
-    gens: list[int] = []
     columns: list[list[int]] = []
     plans = []
-    for candidate in np.argsort(-np.asarray(g.element_orders()), kind="stable").tolist():
-        if reached[candidate]:
-            continue
-        d = len(gens)
-        gens.append(candidate)
-        columns.append(g.table[:, candidate].tolist())
+    for d, gen in enumerate(g.generators):
+        columns.append(g.table[:, gen].tolist())
         plan, old = [], len(members)
         for pos, x in enumerate(members):
             for j in (d,) if pos < old else range(d + 1):
@@ -321,7 +316,7 @@ def _search_state(g: FiniteGroup) -> tuple[tuple[int, ...], list[list], list[lis
         plans.append(plan)
     # Per depth, (y, colour) of each element first reached there, in plan order.
     fresh = [[(y, c) for _, _, y, c, _ in plan if c >= 0] for plan in plans]
-    return tuple(gens), plans, fresh
+    return plans, fresh
 
 
 @_memoized
@@ -338,10 +333,10 @@ def _class_ids(g: FiniteGroup) -> list[int]:
 
 
 def _image_search(g1: FiniteGroup, g2: FiniteGroup, *, find_all: bool) -> list[tuple[int, ...]]:
-    """All (or the first) images of the generating sequence gens of g1 that
-    extend to isomorphisms; all of them at most AUT_CARRIER_LIMIT. gens,
-    the plans and the fresh elements come from _search_state(g1), in the
-    walk that picks the sequence.
+    """All (or the first) images of the generating sequence gens =
+    g1.generators that extend to isomorphisms; all of them at most
+    AUT_CARRIER_LIMIT. The plans and the fresh elements come from
+    _search_state(g1), one walk over gens.
 
     A node at depth d extends the map on <gens[:d]> fixed by the images
     tried above it to <gens[:d+1]>, walking only the products of plan d: a
@@ -373,7 +368,7 @@ def _image_search(g1: FiniteGroup, g2: FiniteGroup, *, find_all: bool) -> list[t
     n = g1.order
     if n == 1:
         return [(0,)]
-    gens, plans, fresh = _search_state(g1)
+    gens, (plans, fresh) = g1.generators, _search_state(g1)
     codes1, codes2 = _element_codes(g1), _element_codes(g2)
     candidates = [np.flatnonzero(codes2 == codes1[g]).tolist() for g in gens]
     # Central images (class size 1) are their own classes: nothing to skip.
@@ -494,29 +489,26 @@ def automorphism_group(g: FiniteGroup) -> AutGroup:
     cached on g, so every caller holding g shares one carrier.
 
     The carrier table is built without hashing permutations: each
-    automorphism is keyed by its images of generating_sequence(g), every
-    composite's key is gathered in one step, and keys are looked up by
-    binary search among the sorted keys of the automorphisms."""
-    gens = generating_sequence(g)
+    automorphism is keyed by its images of g.generators, every composite's
+    key is gathered in one step, and keys are looked up by binary search
+    among the sorted keys of the automorphisms."""
     maps = _image_search(g, g, find_all=True)
     ident = tuple(range(g.order))
     perms = tuple([ident] + sorted(m for m in maps if m != ident))
-    # The trivial group has no generators; its one automorphism is keyed by 0.
-    carrier = from_table(len(perms), _composition_table(g.table, perms, gens or [0]))
+    carrier = from_table(len(perms), _composition_table(g, perms))
     return AutGroup(carrier, perms, {p: i for i, p in enumerate(perms)})
 
 
-def _composition_table(
-    table: np.ndarray, perms: tuple[tuple[int, ...], ...], gens: list[int]
-) -> np.ndarray:
-    """Table of perms, maps of the group with Cayley table `table` and
-    generators gens, under composition: entry (i, j) is the index of
-    perms[i] after perms[j]; NotMultiplicativeError unless each perm is a
-    homomorphism. An automorphism is determined by its images of a
-    generating sequence, so those images serve as its key: an int16 row
-    (exact for every order up to MAX_ORDER) viewed as one opaque byte
-    string, which numpy sorts and searches as a single value."""
-    k, n = len(perms), table.shape[0]
+def _composition_table(g: FiniteGroup, perms: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Table of perms, maps of g, under composition: entry (i, j) is the
+    index of perms[i] after perms[j]; NotMultiplicativeError unless each
+    perm is a homomorphism. An automorphism is determined by its images of
+    g.generators, so those images serve as its key: an int16 row (exact
+    for every order up to MAX_ORDER) viewed as one opaque byte string,
+    which numpy sorts and searches as a single value."""
+    # The trivial group has no generators; its one automorphism is keyed by 0.
+    gens = list(g.generators) or [0]
+    k, n = len(perms), g.order
     p = np.array(perms, dtype=np.int16)
     key_dtype = np.dtype((np.void, 2 * len(gens)))
 
@@ -531,7 +523,7 @@ def _composition_table(
     block = max(1, _BLOCK_ENTRIES // (max(k, n) * len(gens)))
     for start in range(0, k, block):
         rows = p[start : start + block]
-        _check_multiplicative(table, gens, table, rows)
+        _check_multiplicative(g, g.table, rows)
         # composite[i, j] = keys of perms[i] applied to perms[j]'s generator images
         composite = keys(rows[:, of_gens])
         pos = np.minimum(np.searchsorted(sorted_keys, composite), k - 1)

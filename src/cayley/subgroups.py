@@ -117,9 +117,11 @@ def join(a: Subgroup, b: Subgroup) -> Subgroup:
 
 
 def is_normal(h: Subgroup) -> bool:
-    """Whether x m x^-1 lies in H for every x in the parent and m in H."""
-    members = list(h.members)
-    return bool(_mask(h.parent.order, members)[h.parent.conjugates(members)].all())
+    """Whether x m x^-1 lies in H for each generator x of the parent and
+    every m in H. That is exact: conjugation by x is a bijection, so
+    x H x^-1 = H once it lies in H, and the generators generate the parent."""
+    parent, members = h.parent, list(h.members)
+    return bool(_mask(parent.order, members)[parent.conjugates(members, parent.generators)].all())
 
 
 def conjugate_subgroup(h: Subgroup, g: int) -> Subgroup:

@@ -86,6 +86,11 @@ def test_table_entries_must_be_integers_below_the_cap():
     ):
         with pytest.raises(NotClosedError):
             from_table(2, bad)
+    # Ints beyond 64 bits make an object array; they are out of range, not
+    # non-integers.
+    for bad in ([[0, 1], [1, 2**70]], [[0, 1], [1, -(2**70)]]):
+        with pytest.raises(NotClosedError, match="^entry at row 1, column 1 out of range$"):
+            from_table(2, bad)
     assert from_table(2, np.array([[0, 1], [1, 0]], dtype=np.uint8)) == cyclic_group(2)
 
 
@@ -569,8 +574,10 @@ def _greedy_corpus():
 def test_greedy_generators_match_the_naive_rules():
     for g in _greedy_corpus():
         by_order = generating_sequence(g)
-        by_index = greedy_generators(g.table, range(g.order))  # Light's criterion
+        by_index = greedy_generators(g.table, range(g.order))  # the witness's sequence
         assert by_order == naive_greedy_by_order(g), g
+        # One sequence per group: validation keeps the search's.
+        assert g.generators == tuple(naive_greedy_by_order(g)), g
         assert by_index == naive_greedy_by_index(g), g
         for gens in (by_order, by_index):
             assert closure_indices(g.table, gens) == tuple(range(g.order))
@@ -583,7 +590,7 @@ def test_search_plans_match_a_naive_breadth_first_walk():
     # c is y's element code at its first reach, else -1, and k counts the
     # elements first reached at that depth before the product.
     for g in _greedy_corpus():
-        gens, plans, fresh = morphisms._search_state(g)
+        gens, (plans, fresh) = g.generators, morphisms._search_state(g)
         assert list(gens) == generating_sequence(g) and len(plans) == len(gens)
         codes = morphisms._element_codes(g).tolist()
         products: dict[tuple[int, int], int] = {}

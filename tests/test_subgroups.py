@@ -234,12 +234,14 @@ def test_as_group_order_and_lagrange():
 
 
 def test_is_normal_and_as_group_match_naive_loops():
-    for g in small_group_corpus(10):
+    # Every subgroup, not only the cyclic ones: D_12's Klein subgroups are
+    # not normal. The oracle conjugates by every element, not the generators.
+    for g in small_group_corpus(12):
         rows = g.table.tolist()
         inv = [rows[y].index(0) for y in range(g.order)]
-        for x in range(g.order):
-            h = closure(g, [x])
-            members = set(h.members)
+        for members in sorted(map(sorted, naive_subgroup_sets(g))):
+            h = subgroup_from_members(g, members)
+            members = set(members)
             normal = all(
                 rows[rows[y][m]][inv[y]] in members for y in range(g.order) for m in members
             )
